@@ -162,16 +162,6 @@ type SchedulerOptions struct {
 	// changes the certified starting incumbent; reuse-on and reuse-off
 	// decisions agree within the solver's gap tolerance.
 	DisableSlotReuse bool
-	// DenseEngine solves every LP relaxation with the legacy dense tableau
-	// engine instead of the sparse revised simplex — an A/B oracle switch for
-	// verifying the revised engine. Both engines certify the same optima, so
-	// decisions agree within the solver's gap tolerance.
-	DenseEngine bool
-	// NoFactorReuse disables cross-node LU factorization reuse inside each
-	// branch & bound tree (every warm re-entry refactorizes, the pre-reuse
-	// behavior). A/B switch: decisions are byte-identical either way; only
-	// the factorization counters move.
-	NoFactorReuse bool
 	// Domains > 0 enables hierarchical domain-decomposed scheduling with
 	// exactly that many collaboration domains: each domain solves its own
 	// redistribution LP + per-edge MILPs concurrently behind a deterministic
@@ -189,8 +179,6 @@ func (o SchedulerOptions) coreMod() func(*core.Config) {
 	return func(cfg *core.Config) {
 		cfg.Workers = o.Workers
 		cfg.DisableSlotReuse = o.DisableSlotReuse
-		cfg.DenseEngine = o.DenseEngine
-		cfg.NoFactorReuse = o.NoFactorReuse
 		cfg.Domains = o.Domains
 		cfg.DomainSize = o.DomainSize
 	}

@@ -81,8 +81,6 @@ func main() {
 	profileKind := flag.String("profile", "", "write per-experiment profiles: cpu, heap, or allocs (one <exp>.<kind>.pprof per experiment; see -profdir)")
 	profDir := flag.String("profdir", ".", "directory for -profile output files")
 	noReuse := flag.Bool("noreuse", false, "disable cross-slot solver reuse (incumbent seeding, plan memoization); every slot solves cold — for A/B measurement")
-	dense := flag.Bool("dense", false, "solve all LP relaxations with the legacy dense tableau engine instead of the sparse revised simplex — for A/B measurement")
-	noFactorReuse := flag.Bool("nofactorreuse", false, "refactorize on every warm simplex re-entry instead of reusing the parent node's LU snapshot — for A/B measurement (plans are byte-identical either way)")
 	k := flag.Int("k", 50, "fleet size for -exp scale (seeded synthetic fleet)")
 	hier := flag.Bool("hier", false, "hierarchical domain-decomposed scheduling for the core-family arms (default domain size 16)")
 	domains := flag.Int("domains", 0, "fix the collaboration-domain count (> 0 implies -hier)")
@@ -94,9 +92,6 @@ func main() {
 	check.NonNegativeInt("workers", *workers)
 	check.PositiveInt("k", *k)
 	check.NonNegativeInt("domains", *domains)
-	// -dense -hier is NOT a conflict: hierarchical sub-schedulers inherit
-	// the engine choice, so the combination A/Bs the dense engine inside
-	// every domain (TestHierarchicalDenseEngineComposes pins it).
 	if *profileKind != "" {
 		check.OneOf("profile", *profileKind, "cpu", "heap", "allocs")
 		check.Checkf(*pprofPath == "", "-profile and -pprof are mutually exclusive (only one CPU profile can be active)")
@@ -126,8 +121,7 @@ func main() {
 	all := want["all"]
 	opt := birp.ExperimentOptions{
 		Seed: *seed, Slots: *slots, Quick: *quick, Workers: *workers,
-		DisableSlotReuse: *noReuse, DenseEngine: *dense, NoFactorReuse: *noFactorReuse,
-		Hierarchical: *hier, Domains: *domains, K: *k,
+		DisableSlotReuse: *noReuse, Hierarchical: *hier, Domains: *domains, K: *k,
 	}
 	report := timingReport{
 		Workers: *workers, Slots: *slots, Seed: *seed, Quick: *quick,

@@ -11,9 +11,8 @@ import (
 // refactors silently change behaviour: two mathematically equal quantities
 // computed along different code paths differ in the last bit, so an exact
 // comparison that used to hold stops holding. Comparisons belong in the
-// shared tolerance helpers (mat.Eq, mat.Zero, mat.ApproxEqual,
-// mat.VecApproxEqual); internal/mat itself — where the helpers and the
-// pivot-magnitude checks live — and test files are exempt. Sites where exact
+// shared tolerance helpers (mat.Eq, mat.Zero); internal/mat itself — where
+// the helpers live — and test files are exempt. Sites where exact
 // comparison is the point (IEEE sentinel checks, skip-zero fast paths over
 // values never produced by arithmetic) carry //birplint:ignore floateq.
 var FloatEq = &Analyzer{

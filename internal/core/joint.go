@@ -220,12 +220,10 @@ func (s *Scheduler) decideJoint(t int, arrivals [][]int) (*edgesim.Plan, error) 
 		}
 	}
 	res, err := miqp.SolveOpts(prob, miqp.Options{
-		MaxNodes:      nodes,
-		Incumbent:     inc,
-		GapTol:        1e-6, // exact: the joint path is the reference solver
-		Workers:       par.CapWorkers(s.cfg.Workers),
-		DenseEngine:   s.cfg.DenseEngine,
-		NoFactorReuse: s.cfg.NoFactorReuse,
+		MaxNodes:  nodes,
+		Incumbent: inc,
+		GapTol:    1e-6, // exact: the joint path is the reference solver
+		Workers:   par.CapWorkers(s.cfg.Workers),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: joint solve: %w", err)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/bandit"
 	"repro/internal/cluster"
 	"repro/internal/edgesim"
-	"repro/internal/lp"
 	"repro/internal/mat"
 	"repro/internal/miqp"
 	"repro/internal/models"
@@ -124,14 +123,6 @@ type EdgeProblem struct {
 	// Workers is the branch-and-bound relaxation parallelism (≤ 1 = serial).
 	// The solve is deterministic for every value; see miqp.Options.Workers.
 	Workers int
-	// DenseEngine forwards miqp.Options.DenseEngine: solve every relaxation
-	// with the legacy dense tableau engine (A/B oracle for the revised
-	// simplex) instead of the sparse revised default.
-	DenseEngine bool
-	// NoFactorReuse forwards miqp.Options.NoFactorReuse: refactorize on
-	// every warm re-entry instead of reusing the parent's LU snapshot.
-	// Plan-neutral; only the factorization counters change.
-	NoFactorReuse bool
 	// SingleVersion restricts each application to at most one deployed model
 	// version on this edge (Σ_j x_ij ≤ 1) — the "model selection" decision
 	// granularity of the OAEI baseline, which picks a version per
@@ -146,12 +137,6 @@ type EdgeProblem struct {
 	// wrong) and the greedy incumbent is used instead; see the Solver
 	// IncumbentSeeded/IncumbentRepaired/IncumbentRejected counters.
 	Seed *EdgeAssignment
-	// RootBasis, when non-nil, warm-starts the root relaxation from a
-	// previous solve's optimal basis (cold fallback on shape mismatch);
-	// CaptureRootBasis publishes this solve's root basis in
-	// EdgeAssignment.RootBasis for the next slot.
-	RootBasis        *lp.Basis
-	CaptureRootBasis bool
 	// Pool, when non-nil, supplies the solver's per-worker LP scratch arenas
 	// (see miqp.ScratchPool); nil uses the package-level pool.
 	Pool *miqp.ScratchPool
@@ -186,10 +171,6 @@ type EdgeAssignment struct {
 	// (warm-start hit rate, pivot work, presolve reductions, incumbent
 	// provenance). Diagnostic only.
 	Solver miqp.Stats
-	// RootBasis is the root relaxation's optimal simplex basis, captured when
-	// EdgeProblem.CaptureRootBasis was set; the temporal reuse layer feeds it
-	// back via EdgeProblem.RootBasis at the next slot.
-	RootBasis *lp.Basis
 }
 
 // SolveEdge solves the per-edge program exactly via branch and bound.
@@ -888,13 +869,9 @@ func SolveEdge(p *EdgeProblem) (*EdgeAssignment, error) {
 		Incumbent: inc,
 		// A 0.5% relative gap is far below the run-to-run noise of the
 		// simulator and cuts the proof-of-optimality tail off the search.
-		GapTol:           0.005 * (1 + objOf(prob, inc)),
-		Workers:          p.Workers,
-		DenseEngine:      p.DenseEngine,
-		NoFactorReuse:    p.NoFactorReuse,
-		RootBasis:        p.RootBasis,
-		CaptureRootBasis: p.CaptureRootBasis,
-		Pool:             p.Pool,
+		GapTol:  0.005 * (1 + objOf(prob, inc)),
+		Workers: p.Workers,
+		Pool:    p.Pool,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: edge %d solve: %w", p.EdgeIdx, err)
@@ -903,7 +880,7 @@ func SolveEdge(p *EdgeProblem) (*EdgeAssignment, error) {
 		return nil, fmt.Errorf("core: edge %d: solver returned no incumbent (status %v)", p.EdgeIdx, res.Status)
 	}
 
-	out := &EdgeAssignment{Dropped: make([]int, I), Obj: res.Obj, Nodes: res.Nodes, Solver: res.Stats, RootBasis: res.RootBasis}
+	out := &EdgeAssignment{Dropped: make([]int, I), Obj: res.Obj, Nodes: res.Nodes, Solver: res.Stats}
 	out.Solver.IncumbentSeeded = seeded
 	out.Solver.IncumbentRepaired = repaired
 	out.Solver.IncumbentRejected = rejected

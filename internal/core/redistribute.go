@@ -52,10 +52,6 @@ type RedistOptions struct {
 	// solve reuses (the scheduler keeps one alive across slots so the arena
 	// never shrinks back between Decide calls); nil uses the lp package pool.
 	Scratch *lp.Scratch
-	// DenseEngine solves the stage-1 LP with the legacy dense tableau engine
-	// instead of the sparse revised simplex (A/B oracle switch; see
-	// core.Config.DenseEngine).
-	DenseEngine bool
 	// ReservedMB[k] is bandwidth a parent coordinator already spent at edge k
 	// this slot (cross-domain transfers charge both endpoints); the forwarding
 	// budget rows plan against the remainder. Nil means nothing reserved.
@@ -322,16 +318,12 @@ func Redistribute(
 	}
 
 	prob := &lp.Problem{C: obj, Aeq: aeq, Beq: beq, Aub: aub, Bub: bub, Ub: ub}
-	lpOpt := lp.Options{}
-	if opt.DenseEngine {
-		lpOpt.Engine = lp.EngineDense
-	}
 	var res *lp.Result
 	var err error
 	if opt.Scratch != nil {
-		res, err = lp.SolveScratch(prob, lpOpt, opt.Scratch)
+		res, err = lp.SolveScratch(prob, lp.Options{}, opt.Scratch)
 	} else {
-		res, err = lp.SolveOpts(prob, lpOpt)
+		res, err = lp.SolveOpts(prob, lp.Options{})
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: redistribution LP: %w", err)

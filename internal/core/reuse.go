@@ -4,20 +4,17 @@ import (
 	"math"
 
 	"repro/internal/edgesim"
-	"repro/internal/lp"
 )
 
 // This file is the cross-slot temporal acceleration layer of the decomposed
 // scheduler (Config.DisableSlotReuse turns it off). Consecutive slots solve
 // near-identical per-edge MILPs — only arrivals and the bandit's slowly
-// drifting TIR estimates move — so the scheduler carries three kinds of state
+// drifting TIR estimates move — so the scheduler carries two kinds of state
 // across slots:
 //
 //  1. the previous slot's assignment, re-seeded (after a deterministic
 //     clamp-and-drop repair) as the branch & bound incumbent;
-//  2. the optimal root-relaxation simplex basis, re-entered at the next
-//     slot's root (falling back cold on any shape mismatch);
-//  3. a fingerprint-keyed memo of full per-edge assignments: when a problem
+//  2. a fingerprint-keyed memo of full per-edge assignments: when a problem
 //     hashes identically to one already solved, its plan fragment is returned
 //     without invoking the solver at all.
 //
@@ -45,8 +42,8 @@ import (
 // pins that down. The memo pays off exactly in that regime: stationary
 // pre-profiled deployments, not the exploring online scheduler.
 
-// defaultSlotCacheSize bounds the per-edge memo LRU when Config.SlotCacheSize
-// is zero. Per-edge memory therefore stays O(1) and total memory O(K).
+// defaultSlotCacheSize bounds the per-edge memo LRU. Per-edge memory
+// therefore stays O(1) and total memory O(K).
 const defaultSlotCacheSize = 8
 
 // edgeReuse is the per-edge cross-slot solver state.
@@ -57,11 +54,8 @@ type edgeReuse struct {
 	cur    *EdgeAssignment
 	curFP  uint64
 	hasCur bool
-	// basis is the optimal root-relaxation basis of the last fresh solve.
-	basis *lp.Basis
 	// lru is the bounded fingerprint → assignment memo, most recent last.
 	lru []memoEntry
-	cap int
 }
 
 type memoEntry struct {
@@ -77,18 +71,10 @@ func reuseFor(reuse []*edgeReuse, k int) *edgeReuse {
 	return reuse[k]
 }
 
-func newEdgeReuse(cacheSize int) *edgeReuse {
-	if cacheSize <= 0 {
-		cacheSize = defaultSlotCacheSize
-	}
-	return &edgeReuse{cap: cacheSize}
-}
-
 // clear drops all carried state (edge failure: the rejoining edge re-solves
 // cold, and stale plans must never resurface from the memo).
 func (r *edgeReuse) clear() {
 	r.cur, r.curFP, r.hasCur = nil, 0, false
-	r.basis = nil
 	r.lru = r.lru[:0]
 }
 
@@ -107,8 +93,9 @@ func (r *edgeReuse) lookup(fp uint64) *EdgeAssignment {
 	return nil
 }
 
-// store inserts (fp, asg) as most recent, evicting the least recent past cap.
-// In-place like lookup; the backing array is bounded by cap+1 entries.
+// store inserts (fp, asg) as most recent, evicting the least recent past
+// defaultSlotCacheSize entries. In-place like lookup; the backing array is
+// bounded by defaultSlotCacheSize+1 entries.
 func (r *edgeReuse) store(fp uint64, asg *EdgeAssignment) {
 	for i := len(r.lru) - 1; i >= 0; i-- {
 		if r.lru[i].fp == fp {
@@ -118,7 +105,7 @@ func (r *edgeReuse) store(fp uint64, asg *EdgeAssignment) {
 		}
 	}
 	r.lru = append(r.lru, memoEntry{fp, asg})
-	if over := len(r.lru) - r.cap; over > 0 {
+	if over := len(r.lru) - defaultSlotCacheSize; over > 0 {
 		copy(r.lru, r.lru[over:])
 		for i := len(r.lru) - over; i < len(r.lru); i++ {
 			r.lru[i] = memoEntry{}
@@ -127,15 +114,10 @@ func (r *edgeReuse) store(fp uint64, asg *EdgeAssignment) {
 	}
 }
 
-// noteFresh records a fresh solve's outcome: it becomes the seed, the memo
-// gains it, and the captured root basis (when any) replaces the old one. An
-// old basis is kept when capture failed — the Fits check plus cold fallback
-// make a stale basis harmless, and it may still fit next slot.
+// noteFresh records a fresh solve's outcome: it becomes the seed and the
+// memo gains it.
 func (r *edgeReuse) noteFresh(fp uint64, asg *EdgeAssignment) {
 	r.cur, r.curFP, r.hasCur = asg, fp, true
-	if asg.RootBasis != nil {
-		r.basis = asg.RootBasis
-	}
 	r.store(fp, asg)
 }
 

@@ -95,30 +95,14 @@ type Config struct {
 	// Workers only changes wall-clock time.
 	Workers int
 	// DisableSlotReuse turns off the cross-slot temporal acceleration layer
-	// (incumbent seeding from the previous slot's plan, root-basis handoff,
-	// plan memoization, per-edge delta skipping) and restores the cold
-	// per-slot path, for equivalence testing and A/B measurement. Reuse only
+	// (incumbent seeding from the previous slot's plan, plan memoization,
+	// per-edge delta skipping) and restores the cold per-slot path, for
+	// equivalence testing and A/B measurement. Reuse only
 	// changes which certified incumbent each solve starts from, so reuse-on
 	// and reuse-off plans agree within the solver's 0.5% gap tolerance;
 	// byte-identity across Workers values holds in both settings. Decomposed
 	// mode only — the joint solver always runs cold.
 	DisableSlotReuse bool
-	// DenseEngine forces every LP relaxation (per-edge MILPs, the joint
-	// program, and the redistribution LP) onto the legacy dense tableau
-	// engine instead of the sparse revised simplex. A/B oracle switch: both
-	// engines certify the same optima, so plans agree within solver
-	// tolerance, and each engine is bit-identical across Workers values.
-	DenseEngine bool
-	// NoFactorReuse disables carrying LU factorizations across warm
-	// dual-simplex re-entries inside each branch & bound tree, forcing a
-	// refactorization on every warm entry (the pre-reuse behavior). A/B
-	// switch for the fixed-cost-elimination layer: plans are byte-identical
-	// with the knob on or off — only the Refactorizations/FactorReuses
-	// counters move.
-	NoFactorReuse bool
-	// SlotCacheSize bounds the per-edge plan-memoization LRU (0 = 8 entries),
-	// keeping the reuse layer's memory O(K·SlotCacheSize).
-	SlotCacheSize int
 	// Domains > 0 partitions the fleet into exactly that many collaboration
 	// domains and enables hierarchical scheduling: each domain runs its own
 	// redistribution LP + per-edge MILPs (concurrently across domains), and a
@@ -139,17 +123,6 @@ type Config struct {
 	// moves workload until their congestion estimates meet or bandwidth runs
 	// out; more rounds refine the balance at O(K) cost each.
 	CoordRounds int
-	// RootBasisHandoff re-enters each edge's root relaxation from the optimal
-	// root basis captured in the previous slot (in addition to the incumbent
-	// seeding the reuse layer always does). Off by default: the handoff is
-	// correct — the crash re-derives reduced costs from the new slot's costs,
-	// and objectives agree to solver tolerance either way — but re-entering an
-	// alternative optimal root vertex perturbs branching enough that the
-	// ModeFixed (MAX) benchmark trees grow ~35% (fig7 150 slots: 88.8k →
-	// 119.6k nodes), outweighing the pivots saved at the root. Enable for
-	// workloads whose slot-to-slot root relaxations are near-identical; no
-	// effect when DisableSlotReuse is set.
-	RootBasisHandoff bool
 }
 
 // Scheduler is the BIRP-family per-slot decision maker. BIRP itself, BIRP-OFF
@@ -273,7 +246,7 @@ func (s *Scheduler) reset() {
 	if !s.cfg.DisableSlotReuse {
 		s.reuse = make([]*edgeReuse, s.cfg.Cluster.N())
 		for k := range s.reuse {
-			s.reuse[k] = newEdgeReuse(s.cfg.SlotCacheSize)
+			s.reuse[k] = &edgeReuse{}
 		}
 	}
 	s.pool = miqp.NewScratchPool()
@@ -353,7 +326,6 @@ func (s *Scheduler) decideDecomposed(t int, arrivals [][]int) (*edgesim.Plan, er
 	redistOpts := s.cfg.Redist
 	redistOpts.DownEdges = s.down
 	redistOpts.Scratch = s.redistScratch
-	redistOpts.DenseEngine = s.cfg.DenseEngine
 	redistOpts.ReservedMB = s.bwReserved
 	red, err := Redistribute(c, s.cfg.Apps, arrivals,
 		s.provider.Params, s.gamma, t, redistOpts)
@@ -489,23 +461,14 @@ func (s *Scheduler) decideDecomposed(t int, arrivals [][]int) (*edgesim.Plan, er
 				OverflowPenaltyPerMS: s.cfg.OverflowPenaltyPerMS,
 				SingleVersion:        s.cfg.SingleVersion,
 				Workers:              inner(idx),
-				DenseEngine:          s.cfg.DenseEngine,
-				NoFactorReuse:        s.cfg.NoFactorReuse,
 				Pool:                 s.pool,
 				scratch:              s.edgeScr[w],
 			}
-			if ru := reuseFor(s.reuse, k); ru != nil {
-				// Temporal warm starts: the previous plan seeds the incumbent
-				// (after repair) and the previous root basis re-enters the
-				// root relaxation. Read-only here; updates happen in the
+			if ru := reuseFor(s.reuse, k); ru != nil && ru.hasCur {
+				// Temporal warm start: the previous plan seeds the incumbent
+				// (after repair). Read-only here; updates happen in the
 				// sequential gather.
-				if ru.hasCur {
-					ep.Seed = ru.cur
-				}
-				if s.cfg.RootBasisHandoff {
-					ep.RootBasis = ru.basis
-					ep.CaptureRootBasis = true
-				}
+				ep.Seed = ru.cur
 			}
 			asg, err := SolveEdge(ep)
 			if err != nil {

@@ -14,8 +14,8 @@ import (
 // duration — the optimizer prices compute, bandwidth, and memory per slot,
 // so feeding it a half-slot window unscaled would halve every demand — and
 // then solved as the next slot of an ordinary Decide sequence. That keeps
-// the cross-slot reuse layer (incumbent seeding, fingerprint memoization,
-// root-basis handoff) carrying across re-optimizations exactly as it does
+// the cross-slot reuse layer (incumbent seeding, fingerprint memoization)
+// carrying across re-optimizations exactly as it does
 // across simulator slots: a serving workload whose window repeats hits the
 // same memo and warm-start paths the replay benchmarks measure.
 func (s *Scheduler) Replan(window [][]int, windowNS int64) (*edgesim.Plan, error) {

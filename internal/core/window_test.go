@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -119,45 +118,5 @@ func TestReplanSequencesAsSlots(t *testing.T) {
 	}
 	if s.serveT != 3 {
 		t.Fatalf("serve slot index %d after 3 replans, want 3", s.serveT)
-	}
-}
-
-// TestHierarchicalDenseEngineComposes pins the flag-validation audit's
-// finding: -dense -hier is NOT contradictory — hierarchical sub-schedulers
-// inherit DenseEngine (hierarchy.go copies the parent config), so the
-// combination A/Bs the dense LP engine inside every domain. Both engine
-// choices certify the same optima, so the composed run must stay
-// byte-identical across worker counts like any other configuration.
-func TestHierarchicalDenseEngineComposes(t *testing.T) {
-	c := cluster.Default()
-	apps := models.Catalogue(1, 3)
-	run := func(workers int) []byte {
-		s, err := New(Config{
-			Cluster: c, Apps: apps, Workers: workers,
-			Domains: 3, DenseEngine: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.hier == nil {
-			t.Fatal("Domains=3 did not enable hierarchical mode")
-		}
-		for _, sub := range s.hier.subs {
-			if !sub.cfg.DenseEngine {
-				t.Fatal("DenseEngine not inherited by a domain sub-scheduler")
-			}
-		}
-		var out []byte
-		for tt := 0; tt < 4; tt++ {
-			plan, err := s.Decide(tt, [][]int{{5, 2, 7, 1, 4, 3}})
-			if err != nil {
-				t.Fatalf("workers=%d slot %d: %v", workers, tt, err)
-			}
-			out = append(out, []byte(fmt.Sprintf("%+v\n", plan))...)
-		}
-		return out
-	}
-	if got1, got4 := run(1), run(4); string(got1) != string(got4) {
-		t.Fatal("dense+hierarchical plans diverged across worker counts")
 	}
 }

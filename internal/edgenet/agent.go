@@ -101,10 +101,11 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	}, nil
 }
 
-// Run connects, registers, and serves the slot protocol until the scheduler
-// sends done (or an error/cancellation occurs). On a mid-run connection
-// loss with ReconnectRetries budgeted, it redials, re-helloes with Resume
-// set, and resumes at the slot the scheduler's resync names.
+// Run connects, registers, and serves the slot protocol until it has
+// reported the scheduler's final assignment (or an error/cancellation
+// occurs). On a mid-run connection loss with ReconnectRetries budgeted, it
+// redials, re-helloes with Resume set, and resumes at the slot the
+// scheduler's resync names.
 func (a *Agent) Run(ctx context.Context) error {
 	a.mu.Lock()
 	a.closed = false
@@ -225,10 +226,10 @@ func (a *Agent) backoffDelay(attempt int) time.Duration {
 	return half + time.Duration(a.boff.Int63n(int64(half)+1))
 }
 
-// serve runs the slot barrier on c starting at slot *t until the scheduler
-// says done (returns nil), the connection drops (returns an error wrapping
-// errConnLost — recoverable when reconnects are budgeted), or the scheduler
-// rejects or aborts the session (fatal). lastDone tracks the last slot
+// serve runs the slot barrier on c starting at slot *t until the final
+// assignment is reported (returns nil), the connection drops (returns an
+// error wrapping errConnLost — recoverable when reconnects are budgeted), or
+// the scheduler rejects or aborts the session (fatal). lastDone tracks the last slot
 // fully reported, which a rejoin hello carries as LastSlot.
 func (a *Agent) serve(ctx context.Context, c *conn, t, lastDone *int) error {
 	for ; ; *t++ {
@@ -244,8 +245,6 @@ func (a *Agent) serve(ctx context.Context, c *conn, t, lastDone *int) error {
 			return fmt.Errorf("edgenet: agent %d recv: %w: %w", a.cfg.EdgeID, errConnLost, err)
 		}
 		switch m.Type {
-		case TypeDone:
-			return nil
 		case TypeError:
 			return fmt.Errorf("edgenet: agent %d: scheduler error: %s", a.cfg.EdgeID, m.Err)
 		case TypeAssign:
@@ -284,5 +283,8 @@ func (a *Agent) serve(ctx context.Context, c *conn, t, lastDone *int) error {
 			return fmt.Errorf("edgenet: agent %d report: %w: %w", a.cfg.EdgeID, errConnLost, err)
 		}
 		*lastDone = *t
+		if m.Final {
+			return nil
+		}
 	}
 }

@@ -84,7 +84,49 @@ func runSystem(t *testing.T, srv *Server, c *cluster.Cluster, apps []*models.App
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
+	wait := startAgents(t, ctx, srv, c, apps, tr, slots, sigma)
+	rep, err := srv.Run(ctx)
+	if err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	wait()
+	return rep
+}
 
+// runSystemAfter is runSystem with a misbehaving client going first: Run
+// starts, first runs to completion while registration still waits for the
+// fleet (so its hello is vetted by registration, deterministically), and only
+// then do the agents start. Racing the client against the agents instead
+// could let a short run finish and close the listener with the client's
+// connection still queued — a reset, not the rejection under test.
+func runSystemAfter(t *testing.T, srv *Server, c *cluster.Cluster, apps []*models.Application, tr *trace.Trace, slots int, first func(ctx context.Context)) *Report {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	type result struct {
+		rep *Report
+		err error
+	}
+	runDone := make(chan result, 1)
+	go func() {
+		rep, err := srv.Run(ctx)
+		runDone <- result{rep, err}
+	}()
+	first(ctx)
+	wait := startAgents(t, ctx, srv, c, apps, tr, slots, 0)
+	res := <-runDone
+	wait()
+	if res.err != nil {
+		t.Fatalf("server: %v", res.err)
+	}
+	return res.rep
+}
+
+// startAgents launches one agent per edge, each replaying its column of tr,
+// and returns a func that waits for all of them and fails the test on any
+// agent error.
+func startAgents(t *testing.T, ctx context.Context, srv *Server, c *cluster.Cluster, apps []*models.Application, tr *trace.Trace, slots int, sigma float64) func() {
+	t.Helper()
 	var wg sync.WaitGroup
 	agentErrs := make([]error, c.N())
 	for k := 0; k < c.N(); k++ {
@@ -109,17 +151,15 @@ func runSystem(t *testing.T, srv *Server, c *cluster.Cluster, apps []*models.App
 			agentErrs[k] = agent.Run(ctx)
 		}(k)
 	}
-	rep, err := srv.Run(ctx)
-	if err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	wg.Wait()
-	for k, err := range agentErrs {
-		if err != nil {
-			t.Fatalf("agent %d: %v", k, err)
+	return func() {
+		t.Helper()
+		wg.Wait()
+		for k, err := range agentErrs {
+			if err != nil {
+				t.Fatalf("agent %d: %v", k, err)
+			}
 		}
 	}
-	return rep
 }
 
 func TestDistributedRunMatchesSimulator(t *testing.T) {
@@ -248,37 +288,26 @@ func TestServerRejectsBadEdgeID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	badDone := make(chan error, 1)
-	go func() {
-		agent, err := NewAgent(AgentConfig{
-			Addr: srv.Addr().String(), EdgeID: 99,
-			Device: c.Edges[0].Device, Apps: apps, Arrivals: [][]int{{1}},
-		})
-		if err != nil {
-			badDone <- err
-			return
-		}
-		badDone <- agent.Run(ctx)
-	}()
 	tr, err := trace.Generate(trace.Config{
 		Apps: 1, Edges: c.N(), Slots: slots, Seed: 2, MeanPerSlot: 5, Imbalance: 0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := runSystem(t, srv, c, apps, tr, slots, 0)
-	if rep.Served == 0 {
-		t.Fatal("run with one rejected registrant served nothing")
-	}
-	select {
-	case err := <-badDone:
-		if err == nil || !strings.Contains(err.Error(), "edge id") {
+	rep := runSystemAfter(t, srv, c, apps, tr, slots, func(ctx context.Context) {
+		agent, err := NewAgent(AgentConfig{
+			Addr: srv.Addr().String(), EdgeID: 99,
+			Device: c.Edges[0].Device, Apps: apps, Arrivals: [][]int{{1}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := agent.Run(ctx); err == nil || !strings.Contains(err.Error(), "edge id") {
 			t.Fatalf("bad registrant should be told about its edge id, got %v", err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("bad registrant never heard back")
+	})
+	if rep.Served == 0 {
+		t.Fatal("run with one rejected registrant served nothing")
 	}
 }
 
@@ -399,35 +428,26 @@ func TestServerRejectsProtocolMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply := make(chan *Message, 1)
-	go func() {
-		raw, err := net.Dial("tcp", srv.Addr().String())
-		if err != nil {
-			reply <- nil
-			return
-		}
-		defer raw.Close()
-		cc := &conn{raw: raw}
-		_ = cc.send(&Message{Type: TypeHello, EdgeID: 0, Version: 99})
-		m, _ := cc.recv()
-		reply <- m
-	}()
 	tr, err := trace.Generate(trace.Config{
 		Apps: 1, Edges: c.N(), Slots: slots, Seed: 4, MeanPerSlot: 5, Imbalance: 0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := runSystem(t, srv, c, apps, tr, slots, 0)
-	if rep.Served == 0 {
-		t.Fatal("run with one mismatched client served nothing")
-	}
-	select {
-	case m := <-reply:
+	rep := runSystemAfter(t, srv, c, apps, tr, slots, func(context.Context) {
+		raw, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		cc := &conn{raw: raw}
+		_ = cc.send(&Message{Type: TypeHello, EdgeID: 0, Version: 99})
+		m, _ := cc.recv()
 		if m == nil || m.Type != TypeError || !strings.Contains(m.Err, "protocol version") {
 			t.Fatalf("mismatched client got %+v, want TypeError naming the protocol version", m)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("mismatched client never heard back")
+	})
+	if rep.Served == 0 {
+		t.Fatal("run with one mismatched client served nothing")
 	}
 }

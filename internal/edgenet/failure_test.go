@@ -18,7 +18,7 @@ import (
 	"repro/internal/trace"
 )
 
-// dialJoin completes the v2 hello → resync handshake by hand and returns the
+// dialJoin completes the hello → resync handshake by hand and returns the
 // connection plus the slot to serve next (nil on failure).
 func dialJoin(t *testing.T, addr string, edgeID int, resume bool, lastSlot int) (*conn, int) {
 	t.Helper()
@@ -46,8 +46,8 @@ func dialJoin(t *testing.T, addr string, edgeID int, resume bool, lastSlot int) 
 }
 
 // driveEmptySlots answers n slots starting at slot start with exec's report
-// (negative n: until the scheduler stops sending assignments). Returns after
-// the first protocol hiccup — the callers crash the conn on purpose.
+// (negative n: until the final assignment). Returns after the first protocol
+// hiccup — the callers crash the conn on purpose.
 func driveEmptySlots(c *conn, edgeID, apps, start, n int, exec func(*Message) *Message) {
 	for slot := start; n < 0 || slot < start+n; slot++ {
 		arr := make([]int, apps)
@@ -59,7 +59,7 @@ func driveEmptySlots(c *conn, edgeID, apps, start, n int, exec func(*Message) *M
 		if err != nil || m.Type != TypeAssign {
 			return
 		}
-		if err := c.send(exec(m)); err != nil {
+		if err := c.send(exec(m)); err != nil || m.Final {
 			return
 		}
 	}
@@ -79,8 +79,8 @@ func runFlakyAgent(t *testing.T, addr string, edgeID, apps, dieAfter int, exec f
 }
 
 // serveRealSlots drives the slot protocol with genuine local execution and
-// zero local arrivals for n slots (negative n: until done), returning the
-// number of requests this edge completed.
+// zero local arrivals for n slots (negative n: until the final assignment),
+// returning the number of requests this edge completed.
 func serveRealSlots(c *conn, dev *accel.Device, apps []*models.Application, edgeID, start, n int) int {
 	rng := rand.New(rand.NewSource(77))
 	served := 0
@@ -109,6 +109,9 @@ func serveRealSlots(c *conn, dev *accel.Device, apps []*models.Application, edge
 			return served
 		}
 		served += len(exec.CompletionMS)
+		if m.Final {
+			return served
+		}
 	}
 	return served
 }

@@ -32,6 +32,9 @@ const (
 //   - KillConns: hard-close every active link now, keeping the listener up
 //     so clients can reconnect (a process restart).
 //
+// Frames reports how many frames each direction has carried, so a test can
+// assert that a peer sent nothing beyond what the protocol allows.
+//
 // It is the test substrate for the failure and rejoin paths; peers that do
 // not speak the length-prefixed framing will stall in the frame parser.
 type FaultProxy struct {
@@ -41,10 +44,18 @@ type FaultProxy struct {
 	mu        sync.Mutex
 	delay     [2]time.Duration
 	partition [2]bool
+	// seen counts the frames read in each direction, faulted ones included.
+	seen [2]int
 	// fuse counts forwarded frames until every link is cut (-1 = disarmed).
-	fuse  int
-	links map[*link]bool
-	wg    sync.WaitGroup
+	fuse int
+	// cutting is set from the moment the fuse blows after forwarding a frame
+	// until that frame's pump has cut the links: a frame any link reads in
+	// between (say, the peer's instant answer to the fuse's last frame) is
+	// swallowed instead of slipping through. Only the blowing pump cuts, so a
+	// link dialed after the cut is never hit by a late second one.
+	cutting bool
+	links   map[*link]bool
+	wg      sync.WaitGroup
 }
 
 // link is one proxied client↔target connection pair.
@@ -103,6 +114,14 @@ func (p *FaultProxy) DropAfter(n int) {
 	p.mu.Unlock()
 }
 
+// Frames returns the number of whole frames the proxy has read in dir, over
+// all links — including frames a partition swallowed or a fuse cut.
+func (p *FaultProxy) Frames(dir Direction) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.seen[dir]
+}
+
 // KillConns hard-closes every active link immediately, leaving the listener
 // up so clients can reconnect.
 func (p *FaultProxy) KillConns() {
@@ -111,6 +130,7 @@ func (p *FaultProxy) KillConns() {
 		l.closeBoth()
 	}
 	p.links = make(map[*link]bool)
+	p.cutting = false
 	p.mu.Unlock()
 }
 
@@ -178,14 +198,15 @@ func (p *FaultProxy) pump(l *link, dir Direction, src, dst net.Conn) {
 		if drop {
 			continue
 		}
-		if _, err := dst.Write(hdr[:]); err != nil {
-			return
-		}
-		if _, err := dst.Write(buf); err != nil {
-			return
+		_, err := dst.Write(hdr[:])
+		if err == nil {
+			_, err = dst.Write(buf)
 		}
 		if cutAfter {
-			p.KillConns()
+			p.KillConns() // even after a failed write: it clears cutting
+			return
+		}
+		if err != nil {
 			return
 		}
 	}
@@ -197,7 +218,11 @@ func (p *FaultProxy) pump(l *link, dir Direction, src, dst net.Conn) {
 func (p *FaultProxy) frameFate(dir Direction) (delay time.Duration, drop, cutBefore, cutAfter bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.seen[dir]++
 	delay = p.delay[dir]
+	if p.cutting {
+		return delay, true, false, false
+	}
 	drop = p.partition[dir]
 	if drop {
 		return delay, drop, false, false // a swallowed frame never burns the fuse
@@ -212,6 +237,7 @@ func (p *FaultProxy) frameFate(dir Direction) (delay time.Duration, drop, cutBef
 		if p.fuse == 0 {
 			cutAfter = true
 			p.fuse = -1
+			p.cutting = true
 		}
 	}
 	return delay, drop, cutBefore, cutAfter

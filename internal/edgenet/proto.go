@@ -22,8 +22,11 @@ import (
 // rejected instead of silently mis-parsing each other. Version 2 added the
 // hello → resync handshake and the rejoin fields (Resume, LastSlot): every
 // hello — initial or re-registration — is answered with a TypeResync carrying
-// the slot at which the agent (re)enters the barrier.
-const ProtocolVersion = 2
+// the slot at which the agent (re)enters the barrier. Version 3 ends the
+// session in-band: the run's last TypeAssign carries Final, and the agent
+// leaves after reporting it instead of speculatively sending the next slot's
+// arrivals into a connection the scheduler is about to close.
+const ProtocolVersion = 3
 
 // Message types.
 const (
@@ -36,12 +39,11 @@ const (
 	TypeResync = "resync"
 	// TypeArrivals reports one slot's local arrivals (edge → scheduler).
 	TypeArrivals = "arrivals"
-	// TypeAssign delivers one slot's work to an edge (scheduler → edge).
+	// TypeAssign delivers one slot's work to an edge (scheduler → edge);
+	// the run's last one carries Final and ends the session once reported.
 	TypeAssign = "assign"
 	// TypeReport returns execution results (edge → scheduler).
 	TypeReport = "report"
-	// TypeDone ends the session (scheduler → edge).
-	TypeDone = "done"
 	// TypeError aborts the session.
 	TypeError = "error"
 )
@@ -77,6 +79,9 @@ type Message struct {
 	Assignments []Assignment `json:"assignments,omitempty"`
 	// Dropped[i] is the per-application drop count at this edge (TypeAssign).
 	Dropped []int `json:"dropped,omitempty"`
+	// Final marks the run's last TypeAssign: the agent reports it and ends
+	// the session without sending another frame.
+	Final bool `json:"final,omitempty"`
 	// CompletionMS and Loss summarize execution (TypeReport);
 	// CompletionApp carries each entry's application for per-app SLOs.
 	CompletionMS  []float64 `json:"completionMs,omitempty"`

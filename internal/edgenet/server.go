@@ -350,7 +350,7 @@ func (s *Server) Run(ctx context.Context) (*Report, error) {
 		}
 		msgs := make([]*Message, K)
 		for k := 0; k < K; k++ {
-			msg := &Message{Type: TypeAssign, Slot: t, EdgeID: k, Dropped: make([]int, I)}
+			msg := &Message{Type: TypeAssign, Slot: t, EdgeID: k, Dropped: make([]int, I), Final: t == s.cfg.Slots-1}
 			for _, d := range plan.Deployments {
 				if d.Edge != k {
 					continue
@@ -436,7 +436,9 @@ func (s *Server) Run(ctx context.Context) (*Report, error) {
 			rep.DownSlots[k] += s.cfg.Slots - since
 		}
 	}
-	s.broadcast(conns, &Message{Type: TypeDone})
+	// No goodbye frame: every live agent already received its Final
+	// assignment and has reported it, so closing the conns (Run's defer)
+	// races with nothing.
 	return rep, nil
 }
 

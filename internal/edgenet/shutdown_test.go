@@ -159,3 +159,78 @@ func TestRunReapsStrayMidRunConn(t *testing.T) {
 		stray.Close()
 	}
 }
+
+// TestAgentsLeaveAfterFinalReport pins the in-band session end. An agent
+// that did not know which assignment was the last one used to report it, loop,
+// and write the next slot's arrivals while Run broadcast a goodbye and closed
+// every conn; on more than one CPU that write hit a closed socket ("broken
+// pipe") and failed an agent whose run had succeeded. Here every agent talks
+// through a proxy that delays each scheduler→agent frame, so an agent always
+// finishes its final report long before anything the scheduler sends after
+// it could arrive. A trailing arrivals frame (or a goodbye) is then certain
+// to cross the proxy, and the exact frame counts catch it on every run
+// instead of by timing luck.
+func TestAgentsLeaveAfterFinalReport(t *testing.T) {
+	c := cluster.Small()
+	apps := models.Catalogue(1, 2)
+	sched, err := core.New(core.Config{Cluster: c, Apps: apps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slots = 4
+	srv, err := NewServer(ServerConfig{
+		Listen: "127.0.0.1:0", Cluster: c, Apps: apps,
+		Scheduler: sched, Slots: slots, SlotTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy, err := NewFaultProxy("127.0.0.1:0", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	proxy.SetDelay(Downstream, 20*time.Millisecond)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	K := c.N()
+	var wg sync.WaitGroup
+	for k := 0; k < K; k++ {
+		arr := make([][]int, slots+1) // one slot more than the run: nothing may ask for it
+		for tt := range arr {
+			arr[tt] = []int{3}
+		}
+		agent, err := NewAgent(AgentConfig{
+			Addr: proxy.Addr().String(), EdgeID: k,
+			Device: c.Edges[k].Device, Apps: apps, Arrivals: arr, Seed: int64(k),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(k int, agent *Agent) {
+			defer wg.Done()
+			if err := agent.Run(ctx); err != nil {
+				t.Errorf("agent %d: %v", k, err)
+			}
+		}(k, agent)
+	}
+	rep, err := srv.Run(ctx)
+	if err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	wg.Wait()
+	if len(rep.FailedEdges) != 0 || rep.Loss.Slots() != slots {
+		t.Fatalf("failed edges %v, loss over %d slots; want none and %d", rep.FailedEdges, rep.Loss.Slots(), slots)
+	}
+	// Per agent: hello plus (arrivals, report) per slot upstream; resync plus
+	// one assignment per slot downstream. Anything more is traffic after the
+	// session ended.
+	if got, want := proxy.Frames(Upstream), K*(1+2*slots); got != want {
+		t.Errorf("agents sent %d frames, want %d: traffic after the final report", got, want)
+	}
+	if got, want := proxy.Frames(Downstream), K*(1+slots); got != want {
+		t.Errorf("scheduler sent %d frames, want %d: traffic after the final assignment", got, want)
+	}
+}

@@ -49,16 +49,6 @@ type Options struct {
 	// cold. For A/B measurement; reuse-on and reuse-off runs agree within the
 	// solver's certified gap tolerance.
 	DisableSlotReuse bool
-	// DenseEngine forwards core.Config.DenseEngine to every core-family arm:
-	// all LP relaxations run on the legacy dense tableau engine instead of
-	// the sparse revised simplex. A/B oracle switch — both engines certify
-	// the same optima, so runs agree within the solver's gap tolerance.
-	DenseEngine bool
-	// NoFactorReuse forwards core.Config.NoFactorReuse to every core-family
-	// arm: warm re-entries refactorize instead of reusing the parent's LU
-	// snapshot. Byte-identical decisions either way (the A/B the equivalence
-	// tests pin); only factorization counters change.
-	NoFactorReuse bool
 	// Hierarchical enables domain-decomposed scheduling for every core-family
 	// arm: the fleet partitions into bounded-size collaboration domains
 	// (DomainSize, default cluster.DefaultDomainSize) solved concurrently
@@ -148,8 +138,6 @@ func coreMod(opt Options) func(*core.Config) {
 	return func(cfg *core.Config) {
 		cfg.Workers = opt.Workers
 		cfg.DisableSlotReuse = opt.DisableSlotReuse
-		cfg.DenseEngine = opt.DenseEngine
-		cfg.NoFactorReuse = opt.NoFactorReuse
 		if opt.Hierarchical || opt.Domains > 0 || opt.DomainSize > 0 {
 			cfg.Domains = opt.Domains
 			cfg.DomainSize = opt.DomainSize

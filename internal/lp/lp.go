@@ -202,9 +202,8 @@ func NewScratch() *Scratch { return &Scratch{} }
 // BeginTree marks the start of a branch & bound tree on this scratch: it
 // recycles the factor-snapshot arena, invalidating every snapshot handed out
 // through this scratch since the previous call. The caller must guarantee no
-// Basis captured before the call is re-entered after it (bases that escape the
-// tree go through Basis.CloneForHandoff, which drops the snapshot). Solvers
-// that never capture bases need not call it.
+// Basis captured before the call is re-entered after it. Solvers that never
+// capture bases need not call it.
 func (s *Scratch) BeginTree() {
 	if s.rev != nil {
 		s.rev.snapUsed = 0

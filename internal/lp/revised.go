@@ -36,8 +36,9 @@ const (
 	// (singular basis factorization), which is itself a deterministic
 	// function of the input.
 	EngineRevised Engine = iota
-	// EngineDense is the legacy dense tableau kernel, kept as an A/B oracle
-	// for bisecting regressions (birpbench -dense).
+	// EngineDense is the legacy dense tableau kernel, kept as the
+	// differential oracle of the engine equivalence tests and as the
+	// revised engine's singular-basis fallback.
 	EngineDense
 )
 
@@ -91,14 +92,12 @@ type revEngine struct {
 	// their factor arrays) across the nodes of one branch & bound tree.
 	// Snapshots are only referenced by that tree's captured bases, so
 	// Scratch.BeginTree resets snapUsed and the next tree reuses the storage;
-	// steady-state trees allocate no snapshot memory at all. Bases that
-	// outlive the tree must not retain snapshots (Basis.CloneForHandoff).
+	// steady-state trees allocate no snapshot memory at all.
 	snapArena []*factorSnapshot
 	snapUsed  int
 
 	// basisArena recycles captured Basis objects under the same per-tree
-	// discipline as snapArena (Form path only; bases that outlive the tree go
-	// through Basis.CloneForHandoff).
+	// discipline as snapArena (Form path only).
 	basisArena []*Basis
 	basisUsed  int
 }

@@ -30,63 +30,9 @@ type Basis struct {
 	// Form path only; nil otherwise). A child re-entering from this basis
 	// loads the factors instead of refactorizing — bit-identical by the
 	// factorSnapshot invariant — unless Options.NoFactorReuse disables it.
-	// Must be stripped (StripFactors) whenever the basis outlives the branch &
-	// bound tree whose Form it was factorized against.
+	// Valid only within the branch & bound tree whose Form it was factorized
+	// against; Scratch.BeginTree recycles it.
 	snap *factorSnapshot
-}
-
-// CloneForHandoff returns a deep copy of the basis with no factorization
-// snapshot attached, for carrying across branch & bound trees (e.g. the
-// cross-slot root-basis handoff). The copy is mandatory on two counts: the
-// original may live in pooled per-tree storage that a later tree rewrites, and
-// the snapshot pins — and is keyed by pointer identity to — the dead tree's
-// compiled matrix, whose storage may likewise be pooled and rewritten, which
-// would make the identity guard meaningless. Returns nil for a nil receiver.
-func (b *Basis) CloneForHandoff() *Basis {
-	if b == nil {
-		return nil
-	}
-	cp := &Basis{nCols: b.nCols, m: b.m}
-	cp.cols = append(cp.cols, b.cols...)
-	cp.flipped = append(cp.flipped, b.flipped...)
-	cp.d = append(cp.d, b.d...)
-	return cp
-}
-
-// Shape returns the standard-form dimensions (rows, columns) of the problem
-// the basis was captured from. A basis can only re-enter a problem whose
-// standard form has exactly these dimensions; see ShapeOf for computing a
-// candidate problem's shape without solving it.
-func (b *Basis) Shape() (rows, cols int) { return b.m, b.nCols }
-
-// Fits reports whether the basis could re-enter a solve of p: the standard
-// form SolveWarm would build for p has exactly the captured dimensions. A
-// true result does not guarantee the re-entry succeeds (the crash can still
-// hit a singular pivot and fall back cold), but a false result guarantees it
-// would be rejected, so callers carrying a basis across *different* problems
-// — e.g. consecutive time slots of a rolling-horizon scheduler — can skip
-// the attempt when the deployment set changed the column space.
-func (b *Basis) Fits(p *Problem) bool {
-	rows, cols := ShapeOf(p)
-	return b != nil && b.m == rows && b.nCols == cols
-}
-
-// ShapeOf computes the standard-form dimensions (rows, columns) the solver
-// would build for p, without solving: rows = equalities + inequalities,
-// columns = structural columns (free variables split in two) + one slack per
-// inequality. Used with Basis.Shape to test cross-problem basis re-entry.
-func ShapeOf(p *Problem) (rows, cols int) {
-	n := len(p.C)
-	nStruct := 0
-	for j := 0; j < n; j++ {
-		lb, ub := boundsAt(p, j)
-		if math.IsInf(lb, -1) && math.IsInf(ub, 1) {
-			nStruct += 2
-		} else {
-			nStruct++
-		}
-	}
-	return len(p.Aeq) + len(p.Aub), nStruct + len(p.Aub)
 }
 
 // captureBasis snapshots the tableau's basis. It returns nil when the basis

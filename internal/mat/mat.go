@@ -1,437 +1,10 @@
-// Package mat provides small dense linear-algebra primitives used by the
-// LP/QP/MIQP solver stack: vectors, row-major matrices, LU and Cholesky
-// factorizations, and linear solves.
-//
-// The package is deliberately minimal: the per-slot optimization problems BIRP
-// produces have at most a few hundred variables, so dense O(n^3) methods with
-// partial pivoting are both fast enough and easy to verify.
+// Package mat holds the approved floating-point comparison helpers of the
+// solver stack. birplint's floateq analyzer flags raw ==/!= on floats
+// everywhere else and points at these helpers, so the intent of each
+// comparison — tolerance or exact sentinel — is explicit at the call site.
 package mat
 
-import (
-	"errors"
-	"fmt"
-	"math"
-	"strings"
-)
-
-// ErrSingular is returned when a factorization or solve encounters a matrix
-// that is singular (or numerically indistinguishable from singular).
-var ErrSingular = errors.New("mat: matrix is singular")
-
-// ErrNotPositiveDefinite is returned by Cholesky when the input is not
-// symmetric positive definite.
-var ErrNotPositiveDefinite = errors.New("mat: matrix is not positive definite")
-
-// ErrShape is returned when operand dimensions are incompatible.
-var ErrShape = errors.New("mat: dimension mismatch")
-
-// Vec is a dense vector.
-type Vec []float64
-
-// NewVec returns a zero vector of length n.
-func NewVec(n int) Vec { return make(Vec, n) }
-
-// Clone returns a copy of v.
-func (v Vec) Clone() Vec {
-	w := make(Vec, len(v))
-	copy(w, v)
-	return w
-}
-
-// Dot returns the inner product of v and w. It panics if lengths differ.
-func (v Vec) Dot(w Vec) float64 {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("mat: Dot length mismatch %d vs %d", len(v), len(w)))
-	}
-	var s float64
-	for i := range v {
-		s += v[i] * w[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func (v Vec) Norm2() float64 {
-	// Scaled accumulation avoids overflow for large entries.
-	var scale, ssq float64
-	ssq = 1
-	for _, x := range v {
-		if x == 0 {
-			continue
-		}
-		ax := math.Abs(x)
-		if scale < ax {
-			r := scale / ax
-			ssq = 1 + ssq*r*r
-			scale = ax
-		} else {
-			r := ax / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
-
-// NormInf returns the maximum absolute entry of v.
-func (v Vec) NormInf() float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// AddScaled sets v = v + alpha*w in place. It panics if lengths differ.
-func (v Vec) AddScaled(alpha float64, w Vec) {
-	if len(v) != len(w) {
-		panic("mat: AddScaled length mismatch")
-	}
-	for i := range v {
-		v[i] += alpha * w[i]
-	}
-}
-
-// Scale multiplies every entry of v by alpha in place.
-func (v Vec) Scale(alpha float64) {
-	for i := range v {
-		v[i] *= alpha
-	}
-}
-
-// Matrix is a dense row-major matrix.
-type Matrix struct {
-	Rows, Cols int
-	Data       []float64 // len == Rows*Cols, row-major
-}
-
-// New returns a zero Rows x Cols matrix.
-func New(rows, cols int) *Matrix {
-	if rows < 0 || cols < 0 {
-		panic("mat: negative dimension")
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a matrix from row slices. All rows must share a length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	c := len(rows[0])
-	m := New(len(rows), c)
-	for i, r := range rows {
-		if len(r) != c {
-			panic("mat: ragged rows")
-		}
-		copy(m.Data[i*c:(i+1)*c], r)
-	}
-	return m
-}
-
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
-}
-
-// At returns the (i, j) entry.
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the (i, j) entry.
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Row returns row i as a slice aliasing the matrix storage.
-func (m *Matrix) Row(i int) Vec { return Vec(m.Data[i*m.Cols : (i+1)*m.Cols]) }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Data[j*t.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return t
-}
-
-// MulVec returns m * v. It panics if v has the wrong length.
-func (m *Matrix) MulVec(v Vec) Vec {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("mat: MulVec shape %dx%d by %d", m.Rows, m.Cols, len(v)))
-	}
-	out := NewVec(m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, a := range row {
-			s += a * v[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// MulTransVec returns mᵀ * v. It panics if v has the wrong length.
-func (m *Matrix) MulTransVec(v Vec) Vec {
-	if len(v) != m.Rows {
-		panic("mat: MulTransVec shape mismatch")
-	}
-	out := NewVec(m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		vi := v[i]
-		if vi == 0 {
-			continue
-		}
-		for j, a := range row {
-			out[j] += a * vi
-		}
-	}
-	return out
-}
-
-// Mul returns m * b as a new matrix. It panics on shape mismatch.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: Mul shape %dx%d by %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := New(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		arow := m.Data[i*m.Cols : (i+1)*m.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, aik := range arow {
-			if aik == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bkj := range brow {
-				orow[j] += aik * bkj
-			}
-		}
-	}
-	return out
-}
-
-// Symmetrize sets m = (m + mᵀ)/2 in place. It panics if m is not square.
-func (m *Matrix) Symmetrize() {
-	if m.Rows != m.Cols {
-		panic("mat: Symmetrize of non-square matrix")
-	}
-	n := m.Rows
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := (m.Data[i*n+j] + m.Data[j*n+i]) / 2
-			m.Data[i*n+j] = v
-			m.Data[j*n+i] = v
-		}
-	}
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		b.WriteString("[")
-		for j := 0; j < m.Cols; j++ {
-			if j > 0 {
-				b.WriteString(" ")
-			}
-			fmt.Fprintf(&b, "%.6g", m.At(i, j))
-		}
-		b.WriteString("]\n")
-	}
-	return b.String()
-}
-
-// LU holds an LU factorization with partial pivoting: P*A = L*U.
-type LU struct {
-	lu   *Matrix // packed L (unit diagonal, below) and U (on/above diagonal)
-	piv  []int   // row permutation
-	sign int     // determinant sign of the permutation
-}
-
-// FactorizeLU computes the LU factorization of square matrix a with partial
-// pivoting. It returns ErrSingular for (numerically) singular inputs.
-func FactorizeLU(a *Matrix) (*LU, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("%w: LU of %dx%d", ErrShape, a.Rows, a.Cols)
-	}
-	n := a.Rows
-	lu := a.Clone()
-	piv := make([]int, n)
-	for i := range piv {
-		piv[i] = i
-	}
-	sign := 1
-	for k := 0; k < n; k++ {
-		// Partial pivot: find the largest |entry| in column k at or below row k.
-		p := k
-		max := math.Abs(lu.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if a := math.Abs(lu.At(i, k)); a > max {
-				max = a
-				p = i
-			}
-		}
-		if max == 0 {
-			return nil, ErrSingular
-		}
-		if p != k {
-			rk := lu.Data[k*n : (k+1)*n]
-			rp := lu.Data[p*n : (p+1)*n]
-			for j := range rk {
-				rk[j], rp[j] = rp[j], rk[j]
-			}
-			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
-		}
-		pivVal := lu.At(k, k)
-		for i := k + 1; i < n; i++ {
-			m := lu.At(i, k) / pivVal
-			lu.Set(i, k, m)
-			if m == 0 {
-				continue
-			}
-			ri := lu.Data[i*n : (i+1)*n]
-			rk := lu.Data[k*n : (k+1)*n]
-			for j := k + 1; j < n; j++ {
-				ri[j] -= m * rk[j]
-			}
-		}
-	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
-}
-
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	n := f.lu.Rows
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
-// Solve solves A*x = b using the factorization. b is not modified.
-func (f *LU) Solve(b Vec) (Vec, error) {
-	n := f.lu.Rows
-	if len(b) != n {
-		return nil, fmt.Errorf("%w: LU solve rhs length %d want %d", ErrShape, len(b), n)
-	}
-	x := NewVec(n)
-	for i := 0; i < n; i++ {
-		x[i] = b[f.piv[i]]
-	}
-	// Forward substitution with unit lower triangle.
-	for i := 1; i < n; i++ {
-		row := f.lu.Data[i*n : (i+1)*n]
-		var s float64
-		for j := 0; j < i; j++ {
-			s += row[j] * x[j]
-		}
-		x[i] -= s
-	}
-	// Back substitution with upper triangle.
-	for i := n - 1; i >= 0; i-- {
-		row := f.lu.Data[i*n : (i+1)*n]
-		var s float64
-		for j := i + 1; j < n; j++ {
-			s += row[j] * x[j]
-		}
-		d := row[i]
-		if d == 0 || math.IsNaN(d) {
-			return nil, ErrSingular
-		}
-		x[i] = (x[i] - s) / d
-	}
-	return x, nil
-}
-
-// Solve solves the square system A*x = b by LU with partial pivoting.
-func Solve(a *Matrix, b Vec) (Vec, error) {
-	f, err := FactorizeLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
-// Cholesky holds a lower-triangular Cholesky factor: A = L*Lᵀ.
-type Cholesky struct {
-	l *Matrix
-}
-
-// FactorizeCholesky computes the Cholesky factorization of a symmetric
-// positive-definite matrix. Only the lower triangle of a is read.
-func FactorizeCholesky(a *Matrix) (*Cholesky, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("%w: Cholesky of %dx%d", ErrShape, a.Rows, a.Cols)
-	}
-	n := a.Rows
-	l := New(n, n)
-	for j := 0; j < n; j++ {
-		var d float64
-		for k := 0; k < j; k++ {
-			d += l.At(j, k) * l.At(j, k)
-		}
-		d = a.At(j, j) - d
-		if d <= 0 || math.IsNaN(d) {
-			return nil, ErrNotPositiveDefinite
-		}
-		ljj := math.Sqrt(d)
-		l.Set(j, j, ljj)
-		for i := j + 1; i < n; i++ {
-			var s float64
-			for k := 0; k < j; k++ {
-				s += l.At(i, k) * l.At(j, k)
-			}
-			l.Set(i, j, (a.At(i, j)-s)/ljj)
-		}
-	}
-	return &Cholesky{l: l}, nil
-}
-
-// Solve solves A*x = b using the Cholesky factorization.
-func (c *Cholesky) Solve(b Vec) (Vec, error) {
-	n := c.l.Rows
-	if len(b) != n {
-		return nil, fmt.Errorf("%w: Cholesky solve rhs length %d want %d", ErrShape, len(b), n)
-	}
-	// Forward: L*y = b.
-	y := b.Clone()
-	for i := 0; i < n; i++ {
-		row := c.l.Data[i*n : (i+1)*n]
-		var s float64
-		for j := 0; j < i; j++ {
-			s += row[j] * y[j]
-		}
-		y[i] = (y[i] - s) / row[i]
-	}
-	// Backward: Lᵀ*x = y.
-	for i := n - 1; i >= 0; i-- {
-		var s float64
-		for j := i + 1; j < n; j++ {
-			s += c.l.At(j, i) * y[j]
-		}
-		y[i] = (y[i] - s) / c.l.At(i, i)
-	}
-	return y, nil
-}
-
-// L returns the lower-triangular Cholesky factor (aliasing internal storage).
-func (c *Cholesky) L() *Matrix { return c.l }
+import "math"
 
 // Eq reports whether two scalars agree within tol: |a - b| <= tol. This is
 // the approved way to compare computed floating-point quantities — raw == on
@@ -444,30 +17,3 @@ func Eq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 // over values that were stored, not computed — so the intent survives review;
 // for "is this computed value negligible", use Eq(x, 0, tol).
 func Zero(x float64) bool { return x == 0 }
-
-// ApproxEqual reports whether a and b have the same shape and all entries
-// within tol of each other.
-func ApproxEqual(a, b *Matrix, tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := range a.Data {
-		if math.Abs(a.Data[i]-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// VecApproxEqual reports whether two vectors match entrywise within tol.
-func VecApproxEqual(a, b Vec, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > tol {
-			return false
-		}
-	}
-	return true
-}

@@ -2,12 +2,63 @@ package miqp
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
 
-// quadTerms is a fixed set of distinct quadratic terms; every permutation of
-// their insertion order must materialize the identical dense Q.
+// regressionBuilder constructs a small binary MILP through the Builder: four
+// binaries with distinct costs, a cardinality equality and two overlapping
+// knapsack rows (one entered as ≥ so the sign-flip path is covered).
+func regressionBuilder() *Builder {
+	b := NewBuilder()
+	for i := 0; i < 4; i++ {
+		b.AddBinary(fmt.Sprintf("x%d", i))
+		b.SetObj(i, 0.5*float64(i)-1)
+	}
+	b.AddEq([]int{0, 1, 2, 3}, []float64{1, 1, 1, 1}, 2)
+	b.AddLe([]int{0, 1, 3}, []float64{1.3, 2.1, 0.7}, 2.5)
+	b.AddGe([]int{1, 2}, []float64{-0.4, -1.9}, -2)
+	return b
+}
+
+// TestBuildRepeatable runs Build twice on one builder and diffs the outputs:
+// two Build calls must produce deeply equal Problems.
+func TestBuildRepeatable(t *testing.T) {
+	b := regressionBuilder()
+	first := b.Build()
+	second := b.Build()
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("Build not repeatable:\nfirst:  %+v\nsecond: %+v", first, second)
+	}
+}
+
+// TestBuildSharedMatchesBuild pins the two materialization paths to the same
+// dense Problem, including after a Reset/rebuild cycle that reuses the
+// builder-owned slabs.
+func TestBuildSharedMatchesBuild(t *testing.T) {
+	b := regressionBuilder()
+	want := b.Build()
+	if got := b.BuildShared(); !reflect.DeepEqual(want, got) {
+		t.Fatalf("BuildShared differs from Build:\nshared: %+v\nbuild:  %+v", got, want)
+	}
+	b.Reset()
+	for i := 0; i < 4; i++ {
+		b.AddBinary(fmt.Sprintf("x%d", i))
+		b.SetObj(i, 0.5*float64(i)-1)
+	}
+	b.AddEq([]int{0, 1, 2, 3}, []float64{1, 1, 1, 1}, 2)
+	b.AddLe([]int{0, 1, 3}, []float64{1.3, 2.1, 0.7}, 2.5)
+	b.AddGe([]int{1, 2}, []float64{-0.4, -1.9}, -2)
+	if got := b.BuildShared(); !reflect.DeepEqual(want, got) {
+		t.Fatalf("BuildShared after Reset differs from Build:\nshared: %+v\nbuild:  %+v", got, want)
+	}
+}
+
+// quadTerms is a fixed quadratic objective over the four binaries of
+// regressionBuilder. quadBuilder linearizes it the way the scheduler
+// linearizes its bilinear terms: a diagonal term is linear on a binary
+// (x² = x) and each cross term becomes a LinearizeProduct variable.
 var quadTerms = []struct {
 	i, j int
 	coef float64
@@ -16,73 +67,50 @@ var quadTerms = []struct {
 	{0, 1, 0.4}, {0, 2, -0.3}, {1, 3, 0.25}, {2, 3, -0.15}, {3, 0, 0.05},
 }
 
-// quadBuilder constructs the regression MIQP builder, inserting quadratic
-// terms in the given order of quadTerms indices.
-func quadBuilder(order []int) *Builder {
-	b := NewBuilder()
-	for i := 0; i < 4; i++ {
-		b.AddBinary(fmt.Sprintf("x%d", i))
-		b.SetObj(i, 0.5*float64(i)-1)
+// quadBuilder is regressionBuilder with quadTerms added to its objective.
+func quadBuilder() *Builder {
+	b := regressionBuilder()
+	for _, term := range quadTerms {
+		if term.i == term.j {
+			b.SetObj(term.i, term.coef)
+			continue
+		}
+		z := b.LinearizeProduct(fmt.Sprintf("x%d*x%d", term.i, term.j), term.i, term.j, 1)
+		b.SetObj(z, term.coef)
 	}
-	for _, k := range order {
-		term := quadTerms[k]
-		b.SetQuad(term.i, term.j, term.coef)
-	}
-	b.AddEq([]int{0, 1, 2, 3}, []float64{1, 1, 1, 1}, 2)
 	return b
 }
 
-// TestBuildQuadOrderIndependent is the regression test for the map-iteration
-// hazard birplint's maporder analyzer caught in Builder.Build: b.q is a map,
-// so materializing Q by ranging over it directly would depend on Go's
-// randomized map order. Build must instead iterate sorted keys, making the
-// dense Problem bit-identical for every insertion order.
-func TestBuildQuadOrderIndependent(t *testing.T) {
-	forward := make([]int, len(quadTerms))
-	reversed := make([]int, len(quadTerms))
-	for i := range quadTerms {
-		forward[i] = i
-		reversed[i] = len(quadTerms) - 1 - i
-	}
-	interleaved := []int{4, 0, 8, 2, 6, 1, 5, 3, 7}
-
-	ref := quadBuilder(forward).Build()
-	for _, order := range [][]int{reversed, interleaved} {
-		p := quadBuilder(order).Build()
-		if !reflect.DeepEqual(ref, p) {
-			t.Fatalf("Build not insertion-order independent:\norder %v: %+v\nforward: %+v", order, p, ref)
-		}
-	}
-}
-
-// TestBuildRepeatable runs the affected path twice on one builder and diffs
-// the outputs: two Build calls must produce deeply equal Problems.
-func TestBuildRepeatable(t *testing.T) {
-	order := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
-	b := quadBuilder(order)
-	first := b.Build()
-	second := b.Build()
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("Build not repeatable:\nfirst:  %+v\nsecond: %+v", first, second)
-	}
-}
-
-// TestSolveQuadRepeatable solves the regression MIQP twice (serial and with a
-// worker pool) and diffs the full results: status, solution vector, objective,
-// and node count must be bit-identical run to run.
+// TestSolveQuadRepeatable solves the linearized quadratic regression program
+// twice (serial and with a worker pool) and diffs the full results: status,
+// solution vector, objective, and node count must be bit-identical run to
+// run. The optimum must also equal the quadratic's, found by enumeration.
 func TestSolveQuadRepeatable(t *testing.T) {
-	order := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
+	rows := regressionBuilder().Build()
+	want := bruteForceObj(rows, []int{0, 0, 0, 0}, []int{1, 1, 1, 1}, func(x []float64) float64 {
+		obj := 0.0
+		for j, c := range rows.C {
+			obj += c * x[j]
+		}
+		for _, term := range quadTerms {
+			obj += term.coef * x[term.i] * x[term.j]
+		}
+		return obj
+	})
 	for _, workers := range []int{1, 4} {
-		first, err := SolveOpts(quadBuilder(order).Build(), Options{Workers: workers})
+		first, err := SolveOpts(quadBuilder().Build(), Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d first solve: %v", workers, err)
 		}
-		second, err := SolveOpts(quadBuilder(order).Build(), Options{Workers: workers})
+		second, err := SolveOpts(quadBuilder().Build(), Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d second solve: %v", workers, err)
 		}
 		if !reflect.DeepEqual(first, second) {
 			t.Fatalf("workers=%d solve not repeatable:\nfirst:  %+v\nsecond: %+v", workers, first, second)
+		}
+		if first.Status != StatusOptimal || math.Abs(first.Obj-want) > 1e-9 {
+			t.Fatalf("workers=%d: %v obj %v, want the quadratic optimum %v", workers, first.Status, first.Obj, want)
 		}
 	}
 }

@@ -5,14 +5,24 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/mat"
 )
 
 // bruteForce enumerates every integer assignment of a fully-integer problem
 // with small bounds and returns the optimum (or +Inf when infeasible).
 func bruteForce(p *Problem, lb, ub []int) float64 {
-	n := len(p.C)
+	return bruteForceObj(p, lb, ub, func(x []float64) float64 {
+		obj := 0.0
+		for k, c := range p.C {
+			obj += c * x[k]
+		}
+		return obj
+	})
+}
+
+// bruteForceObj is bruteForce with the objective supplied as a function of
+// the assignment instead of read from p.C; p contributes only its rows.
+func bruteForceObj(p *Problem, lb, ub []int, objOf func(x []float64) float64) float64 {
+	n := len(lb)
 	x := make([]float64, n)
 	best := math.Inf(1)
 	var rec func(j int)
@@ -36,14 +46,7 @@ func bruteForce(p *Problem, lb, ub []int) float64 {
 					return
 				}
 			}
-			obj := 0.0
-			for k, c := range p.C {
-				obj += c * x[k]
-			}
-			if p.Q != nil {
-				obj += 0.5 * mat.Vec(x).Dot(p.Q.MulVec(mat.Vec(x)))
-			}
-			if obj < best {
+			if obj := objOf(x); obj < best {
 				best = obj
 			}
 			return
@@ -106,54 +109,6 @@ func TestQuickBranchAndBoundMatchesBruteForce(t *testing.T) {
 		return res.Status == StatusOptimal && math.Abs(res.Obj-want) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the same differential with a convex diagonal quadratic objective
-// (exercises the QP relaxation path).
-func TestQuickQuadraticBranchAndBoundMatchesBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(3)
-		q := mat.New(n, n)
-		p := &Problem{
-			C:       make([]float64, n),
-			Lb:      make([]float64, n),
-			Ub:      make([]float64, n),
-			Integer: make([]bool, n),
-			Q:       q,
-		}
-		lb := make([]int, n)
-		ub := make([]int, n)
-		for j := 0; j < n; j++ {
-			q.Set(j, j, 0.5+rng.Float64()*2)
-			p.C[j] = math.Round(rng.NormFloat64()*4) / 2
-			lb[j] = -1 - rng.Intn(2)
-			ub[j] = lb[j] + 1 + rng.Intn(3)
-			p.Lb[j] = float64(lb[j])
-			p.Ub[j] = float64(ub[j])
-			p.Integer[j] = true
-		}
-		if rng.Intn(2) == 0 {
-			row := make([]float64, n)
-			for j := range row {
-				row[j] = math.Round(rng.NormFloat64() * 2)
-			}
-			p.Aub = append(p.Aub, row)
-			p.Bub = append(p.Bub, math.Round(rng.NormFloat64()*3))
-		}
-		want := bruteForce(p, lb, ub)
-		res, err := Solve(p)
-		if err != nil {
-			return false
-		}
-		if math.IsInf(want, 1) {
-			return res.Status == StatusInfeasible
-		}
-		return res.Status == StatusOptimal && math.Abs(res.Obj-want) < 1e-5
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
 	}
 }

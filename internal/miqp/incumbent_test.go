@@ -74,50 +74,3 @@ func TestSeededNodeLimitReturnsIncumbent(t *testing.T) {
 		t.Fatalf("got %v obj %v, want ≤ −17 (the seed)", res.Status, res.Obj)
 	}
 }
-
-// TestRootBasisHandoffEquivalence covers the cross-solve basis path end to
-// end: CaptureRootBasis publishes the optimal root basis, and feeding it back
-// through Options.RootBasis must reproduce the identical certified result —
-// the handoff is a warm start, never a behavioural change.
-func TestRootBasisHandoffEquivalence(t *testing.T) {
-	p := &Problem{
-		C:       []float64{-3, -2, -4, -1},
-		Aub:     [][]float64{{2, 1, 3, 1}, {1, 3, 1, 2}},
-		Bub:     []float64{7, 8},
-		Ub:      []float64{2, 2, 2, 2},
-		Integer: []bool{true, true, true, true},
-	}
-	first, err := SolveOpts(p, Options{CaptureRootBasis: true})
-	if err != nil {
-		t.Fatalf("capture solve: %v", err)
-	}
-	if first.RootBasis == nil {
-		t.Fatal("CaptureRootBasis set but Result.RootBasis is nil")
-	}
-	second, err := SolveOpts(p, Options{RootBasis: first.RootBasis})
-	if err != nil {
-		t.Fatalf("handoff solve: %v", err)
-	}
-	if second.Status != first.Status || math.Abs(second.Obj-first.Obj) > 1e-9 {
-		t.Fatalf("handoff changed the answer: %v/%v vs %v/%v",
-			second.Status, second.Obj, first.Status, first.Obj)
-	}
-	for j := range p.C {
-		if math.Round(second.X[j]) != math.Round(first.X[j]) {
-			t.Fatalf("handoff changed integer var %d: %g vs %g", j, second.X[j], first.X[j])
-		}
-	}
-	// A stale basis of the wrong shape (captured from a different problem)
-	// must be ignored, not crash or corrupt the solve.
-	other, err := SolveOpts(knapsack(), Options{CaptureRootBasis: true})
-	if err != nil || other.RootBasis == nil {
-		t.Fatalf("stale-basis capture: %v (basis %v)", err, other.RootBasis)
-	}
-	third, err := SolveOpts(p, Options{RootBasis: other.RootBasis})
-	if err != nil {
-		t.Fatalf("stale-basis solve: %v", err)
-	}
-	if third.Status != first.Status || math.Abs(third.Obj-first.Obj) > 1e-9 {
-		t.Fatalf("stale basis changed the answer: %v/%v", third.Status, third.Obj)
-	}
-}

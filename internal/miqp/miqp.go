@@ -1,16 +1,17 @@
-// Package miqp solves small mixed-integer linear/quadratic programs with
-// best-first branch and bound:
+// Package miqp solves small mixed-integer linear programs with best-first
+// branch and bound:
 //
-//	minimize    ½·xᵀQx + cᵀx                    (Q symmetric PSD or nil)
+//	minimize    cᵀx
 //	subject to  Aeq·x  = beq
 //	            Aub·x ≤ bub
 //	            lb ≤ x ≤ ub                      (finite for integer variables)
 //	            x[j] ∈ ℤ   for j with Integer[j]
 //
-// Continuous relaxations are solved with package lp (when Q is nil) or
-// package qp (otherwise); branching splits on the most fractional integer
-// variable. This is the drop-in substitute for the Gurobi MIQP calls in the
-// BIRP paper: the per-slot instances are small (tens of binaries), so exact
+// Continuous relaxations are solved with package lp; branching splits on the
+// most fractional integer variable. This is the drop-in substitute for the
+// Gurobi MIQP calls in the BIRP paper: every per-slot model is linearized
+// (big-M couplings, and x·b collapsed through Eq. 4), so no quadratic term
+// reaches the solver. The instances are small (tens of binaries), so exact
 // enumeration with bound pruning is fast and — unlike a heuristic — provably
 // returns the optimum the paper's pipeline assumes.
 package miqp
@@ -20,13 +21,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/lp"
 	"repro/internal/mat"
 	"repro/internal/par"
-	"repro/internal/qp"
 )
 
 // Status describes the solve outcome.
@@ -168,9 +167,8 @@ func ValidateIncumbent(p *Problem, x []float64) error {
 	return nil
 }
 
-// Problem is a mixed-integer quadratic program. Nil slices mean "absent".
+// Problem is a mixed-integer linear program. Nil slices mean "absent".
 type Problem struct {
-	Q       *mat.Matrix
 	C       []float64
 	Aeq     [][]float64
 	Beq     []float64
@@ -191,12 +189,6 @@ type Result struct {
 	// Stats carries the solver observability counters (warm-start hit rate,
 	// pivot work, presolve reductions). Deterministic across worker counts.
 	Stats Stats
-	// RootBasis is the optimal root-relaxation simplex basis, captured when
-	// Options.CaptureRootBasis is set and the LP root solved to optimality.
-	// Feed it to the next solve's Options.RootBasis for cross-solve warm
-	// starts. Nil on the QP path, with warm starts disabled, or when the root
-	// relaxation did not reach optimality.
-	RootBasis *lp.Basis
 }
 
 // Options tunes the search.
@@ -211,17 +203,6 @@ type Options struct {
 	// wrapping ErrInfeasibleIncumbent — an unchecked bad incumbent would
 	// silently prune the true optimum.
 	Incumbent []float64
-	// RootBasis, when non-nil, seeds the root relaxation's simplex warm start
-	// (LP path only). It is intended for carrying the previous slot's optimal
-	// root basis across solves of near-identical problems; a basis whose shape
-	// does not fit the (post-presolve) root is ignored, and any warm re-entry
-	// failure falls back to a cold solve, so a stale basis can cost time but
-	// never correctness.
-	RootBasis *lp.Basis
-	// CaptureRootBasis asks SolveOpts to publish the optimal root-relaxation
-	// basis in Result.RootBasis (LP path with warm starts enabled only), for
-	// handing back via RootBasis on the next solve.
-	CaptureRootBasis bool
 	// Pool, when non-nil, supplies the per-worker lp.Scratch arenas instead of
 	// the package-level sync.Pool. A caller-owned pool survives GC cycles
 	// between slots, keeping the slot loop's allocation profile flat.
@@ -235,21 +216,19 @@ type Options struct {
 	Workers int
 	// DisableWarmStart forces every relaxation to solve from a cold start
 	// instead of re-entering from the parent node's basis. Warm starting is on
-	// by default for LP relaxations (Q == nil); this switch exists for A/B
-	// measurement and debugging.
+	// by default; this switch exists for A/B measurement and debugging.
 	DisableWarmStart bool
 	// DisablePresolve skips the pre-root bound-implication pass and the
 	// root reduced-cost bound tightening.
 	DisablePresolve bool
 	// DenseEngine forces every LP relaxation onto the legacy dense tableau
 	// kernel instead of the default sparse revised simplex. It exists as the
-	// A/B oracle for bisecting solver regressions (birpbench -dense),
-	// mirroring the cross-slot layer's -noreuse switch.
+	// differential oracle the equivalence tests solve against.
 	DenseEngine bool
 	// NoFactorReuse forwards lp.Options.NoFactorReuse: warm re-entries always
-	// refactorize instead of loading the parent basis's captured LU. Debug
-	// knob for A/B equivalence — solutions and node/pivot counts are identical
-	// either way; only Stats.Refactorizations/FactorReuses move.
+	// refactorize instead of loading the parent basis's captured LU. Reference
+	// path for the equivalence tests — solutions and node/pivot counts are
+	// identical either way; only Stats.Refactorizations/FactorReuses move.
 	NoFactorReuse bool
 }
 
@@ -312,9 +291,6 @@ func SolveOpts(p *Problem, opt Options) (*Result, error) {
 	n := len(p.C)
 	if n == 0 {
 		return nil, fmt.Errorf("%w: empty objective", ErrBadProblem)
-	}
-	if p.Q != nil && (p.Q.Rows != n || p.Q.Cols != n) {
-		return nil, fmt.Errorf("%w: Q shape", ErrBadProblem)
 	}
 	if p.Integer != nil && len(p.Integer) != n {
 		return nil, fmt.Errorf("%w: Integer length %d, want %d", ErrBadProblem, len(p.Integer), n)
@@ -428,9 +404,7 @@ func SolveOpts(p *Problem, opt Options) (*Result, error) {
 		}
 	}
 
-	// Warm starting applies to the pure-LP relaxation path only; the QP paths
-	// have no simplex basis to reuse.
-	warmOK := p.Q == nil && !opt.DisableWarmStart
+	warmOK := !opt.DisableWarmStart
 
 	// Compile the relaxation LP's standard form once per tree: every node
 	// below shares pp's matrices and only tightens bounds, so the coefficient
@@ -438,15 +412,13 @@ func SolveOpts(p *Problem, opt Options) (*Result, error) {
 	// validateRows cannot see, e.g. NaN bounds) just leaves the per-node path
 	// building its own standard form, exactly as before.
 	var form *lp.Form
-	if p.Q == nil {
-		// Recycling ts.form is safe because every factor snapshot keyed to its
-		// compiled matrix died with the tree that captured it (BeginTree below).
-		if f, err := lp.NewFormReuse(ts.form, &lp.Problem{
-			C: pp.C, Aeq: pp.Aeq, Beq: pp.Beq, Aub: pp.Aub, Bub: pp.Bub, Lb: lb, Ub: ub,
-		}); err == nil {
-			form = f
-			ts.form = f
-		}
+	// Recycling ts.form is safe because every factor snapshot keyed to its
+	// compiled matrix died with the tree that captured it (BeginTree below).
+	if f, err := lp.NewFormReuse(ts.form, &lp.Problem{
+		C: pp.C, Aeq: pp.Aeq, Beq: pp.Beq, Aub: pp.Aub, Bub: pp.Bub, Lb: lb, Ub: ub,
+	}); err == nil {
+		form = f
+		ts.form = f
 	}
 
 	root := &ts.root
@@ -455,24 +427,13 @@ func SolveOpts(p *Problem, opt Options) (*Result, error) {
 	root.depth = 0
 	root.id = 1
 	root.basis = nil
-	if warmOK && opt.RootBasis != nil {
-		// Cross-solve warm start: re-enter the previous solve's optimal root
-		// basis. Presolve may have rewritten the row set and bound tightening
-		// may have un-split free columns, so check the basis against the exact
-		// LP the root relaxation will build; a misfit is silently dropped (the
-		// root then solves cold, exactly as without the option).
-		rootLP := &lp.Problem{C: pp.C, Aeq: pp.Aeq, Beq: pp.Beq, Aub: pp.Aub, Bub: pp.Bub, Lb: lb, Ub: ub}
-		if opt.RootBasis.Fits(rootLP) {
-			root.basis = opt.RootBasis
-		}
-	}
 	ts.heap = append(ts.heap[:0], root)
 	h := &ts.heap
 	heap.Init(h)
 	nextID := uint64(2)
 	// Root reduced-cost tightening needs the root solve to report reduced
 	// costs; only worthwhile once an upper bound (incumbent) exists.
-	rootRC := !opt.DisablePresolve && incumbent != nil && p.Q == nil
+	rootRC := !opt.DisablePresolve && incumbent != nil
 
 	workers := opt.Workers
 	if workers < 1 {
@@ -495,7 +456,7 @@ func SolveOpts(p *Problem, opt Options) (*Result, error) {
 			scratches[w] = lpScratchPool.Get().(*lp.Scratch)
 		}
 		// Recycle the factor-snapshot arena: every basis captured on this
-		// scratch by a previous tree is dead (or was CloneForHandoff'd).
+		// scratch by a previous tree is dead.
 		scratches[w].BeginTree()
 	}
 	defer func() {
@@ -553,16 +514,13 @@ func SolveOpts(p *Problem, opt Options) (*Result, error) {
 			if warmOK {
 				warm = nd.basis
 			}
-			// Dual re-entry dispatch: a non-root node's warm basis came from
-			// its parent in this same tree — identical costs and matrices,
-			// bounds only tightened — which is exactly the dual-feasible
-			// re-entry state the revised engine's PreferDual contract needs.
-			// The root's cross-solve basis (RootBasis) may come from a
-			// different slot's problem, so it stays on the primal path.
-			preferDual := warm != nil && nd.depth > 0
+			// Dual re-entry dispatch: a warm basis always came from the node's
+			// parent in this same tree — identical costs and matrices, bounds
+			// only tightened — which is exactly the dual-feasible re-entry
+			// state the revised engine's PreferDual contract needs.
 			var err error
 			relaxes[i], err = solveRelaxation(pp, form, nd.lb, nd.ub, scratches[w], warm, warmOK,
-				rootRC && nd.depth == 0, opt.DenseEngine, preferDual, opt.NoFactorReuse)
+				rootRC && nd.depth == 0, opt.DenseEngine, warm != nil, opt.NoFactorReuse)
 			return err
 		}); err != nil {
 			return nil, err
@@ -588,12 +546,6 @@ func SolveOpts(p *Problem, opt Options) (*Result, error) {
 				} else {
 					res.Stats.WarmHits++
 				}
-			}
-			if opt.CaptureRootBasis && batch[i].depth == 0 && r.status == relaxOptimal {
-				// The published basis outlives this tree (it seeds a future
-				// solve over a different Form), so it must not retain the
-				// tree-local factor snapshot: deep-copy without it.
-				res.RootBasis = r.basis.CloneForHandoff()
 			}
 		}
 		for i, nd := range batch {
@@ -772,9 +724,6 @@ func evalObj(p *Problem, x []float64) float64 {
 	for j, cj := range p.C {
 		obj += cj * x[j]
 	}
-	if p.Q != nil {
-		obj += 0.5 * mat.Vec(x).Dot(p.Q.MulVec(mat.Vec(x)))
-	}
 	return obj
 }
 
@@ -791,7 +740,7 @@ type relaxResult struct {
 	status relaxStatus
 	x      []float64
 	obj    float64
-	// basis is the optimal simplex basis (LP path with capture on), handed to
+	// basis is the optimal simplex basis (when capture is on), handed to
 	// this node's children for warm re-entry; rc holds reduced costs when the
 	// solve was asked for them (root tightening).
 	basis *lp.Basis
@@ -810,113 +759,54 @@ type relaxResult struct {
 // solveRelaxation solves the continuous relaxation under node bounds. form,
 // when non-nil, is the tree-wide precompiled standard form of p's LP (built
 // once per SolveOpts; p and form must describe the same matrices). sc is
-// the calling worker's LP scratch (unused on the QP paths); concurrent
-// callers must pass distinct scratches. warm, when non-nil, is the parent
-// basis to re-enter from; capture asks for the optimal basis (for this node's
-// children); wantRC asks for reduced costs (root tightening). dense forces
-// the dense tableau kernel; preferDual asserts warm is dual feasible here
-// (bounds-only change), enabling the revised engine's dual re-entry.
+// the calling worker's LP scratch; concurrent callers must pass distinct
+// scratches. warm, when non-nil, is the parent basis to re-enter from;
+// capture asks for the optimal basis (for this node's children); wantRC asks
+// for reduced costs (root tightening). dense forces the dense tableau kernel;
+// preferDual asserts warm is dual feasible here (bounds-only change),
+// enabling the revised engine's dual re-entry.
 func solveRelaxation(p *Problem, form *lp.Form, lb, ub []float64, sc *lp.Scratch, warm *lp.Basis, capture, wantRC, dense, preferDual, noReuse bool) (relaxResult, error) {
-	if p.Q == nil {
-		lpOpt := lp.Options{CaptureBasis: capture, WantReducedCosts: wantRC, AssumeValid: true, PreferDual: preferDual, NoFactorReuse: noReuse}
-		if dense {
-			lpOpt.Engine = lp.EngineDense
-		}
-		var res *lp.Result
-		var err error
-		if form != nil {
-			// Precompiled standard form: only the bound-dependent vectors are
-			// rebuilt for this node.
-			res, err = form.SolveWarm(lb, ub, lpOpt, sc, warm)
-		} else {
-			res, err = lp.SolveWarm(&lp.Problem{
-				C: p.C, Aeq: p.Aeq, Beq: p.Beq, Aub: p.Aub, Bub: p.Bub, Lb: lb, Ub: ub,
-			}, lpOpt, sc, warm)
-		}
-		if err != nil {
-			return relaxResult{}, err
-		}
-		out := relaxResult{
-			warmAttempted:    warm != nil,
-			warmFellBack:     res.WarmFallback,
-			dualReentry:      res.DualReentry,
-			pivots:           res.Pivots(),
-			dualPivots:       res.DualPivots,
-			refactorizations: res.Refactorizations,
-			etaLen:           res.EtaLen,
-			factorReuses:     res.FactorReuses,
-		}
-		switch res.Status {
-		case lp.StatusOptimal:
-			out.status, out.x, out.obj = relaxOptimal, res.X, res.Obj
-			out.basis = res.Basis
-			out.rc = res.ReducedCosts
-		case lp.StatusInfeasible:
-			out.status = relaxInfeasible
-		case lp.StatusUnbounded:
-			out.status = relaxUnbounded
-		default:
-			out.status = relaxFailed
-		}
-		return out, nil
+	lpOpt := lp.Options{CaptureBasis: capture, WantReducedCosts: wantRC, AssumeValid: true, PreferDual: preferDual, NoFactorReuse: noReuse}
+	if dense {
+		lpOpt.Engine = lp.EngineDense
 	}
-	// Box-only QP (no structural rows): the accelerated projected-gradient
-	// solver is faster and cannot cycle; its fixed points are the box-QP
-	// optima, so the relaxation bound stays valid.
-	if len(p.Aeq) == 0 && len(p.Aub) == 0 {
-		boxable := true
-		for j := range lb {
-			if math.IsInf(lb[j], -1) || math.IsInf(ub[j], 1) {
-				boxable = false
-				break
-			}
-		}
-		if boxable {
-			res, err := qp.SolveBox(&qp.BoxProblem{Q: p.Q, C: p.C, Lo: lb, Hi: ub}, qp.BoxOptions{})
-			if err != nil {
-				return relaxResult{}, err
-			}
-			if !res.Converged {
-				return relaxResult{status: relaxFailed}, nil
-			}
-			return relaxResult{status: relaxOptimal, x: res.X, obj: res.Obj}, nil
-		}
+	var res *lp.Result
+	var err error
+	if form != nil {
+		// Precompiled standard form: only the bound-dependent vectors are
+		// rebuilt for this node.
+		res, err = form.SolveWarm(lb, ub, lpOpt, sc, warm)
+	} else {
+		res, err = lp.SolveWarm(&lp.Problem{
+			C: p.C, Aeq: p.Aeq, Beq: p.Beq, Aub: p.Aub, Bub: p.Bub, Lb: lb, Ub: ub,
+		}, lpOpt, sc, warm)
 	}
-
-	// QP path: fold node bounds into inequality rows.
-	n := len(p.C)
-	aub := make([][]float64, 0, len(p.Aub)+2*n)
-	bub := make([]float64, 0, len(p.Bub)+2*n)
-	aub = append(aub, p.Aub...)
-	bub = append(bub, p.Bub...)
-	for j := 0; j < n; j++ {
-		if !math.IsInf(ub[j], 1) {
-			row := make([]float64, n)
-			row[j] = 1
-			aub = append(aub, row)
-			bub = append(bub, ub[j])
-		}
-		if !math.IsInf(lb[j], -1) {
-			row := make([]float64, n)
-			row[j] = -1
-			aub = append(aub, row)
-			bub = append(bub, -lb[j])
-		}
-	}
-	res, err := qp.Solve(&qp.Problem{Q: p.Q, C: p.C, Aeq: p.Aeq, Beq: p.Beq, Aub: aub, Bub: bub})
 	if err != nil {
 		return relaxResult{}, err
 	}
-	switch res.Status {
-	case qp.StatusOptimal:
-		return relaxResult{status: relaxOptimal, x: res.X, obj: res.Obj}, nil
-	case qp.StatusInfeasible:
-		return relaxResult{status: relaxInfeasible}, nil
-	case qp.StatusUnbounded:
-		return relaxResult{status: relaxUnbounded}, nil
-	default:
-		return relaxResult{status: relaxFailed}, nil
+	out := relaxResult{
+		warmAttempted:    warm != nil,
+		warmFellBack:     res.WarmFallback,
+		dualReentry:      res.DualReentry,
+		pivots:           res.Pivots(),
+		dualPivots:       res.DualPivots,
+		refactorizations: res.Refactorizations,
+		etaLen:           res.EtaLen,
+		factorReuses:     res.FactorReuses,
 	}
+	switch res.Status {
+	case lp.StatusOptimal:
+		out.status, out.x, out.obj = relaxOptimal, res.X, res.Obj
+		out.basis = res.Basis
+		out.rc = res.ReducedCosts
+	case lp.StatusInfeasible:
+		out.status = relaxInfeasible
+	case lp.StatusUnbounded:
+		out.status = relaxUnbounded
+	default:
+		out.status = relaxFailed
+	}
+	return out, nil
 }
 
 // Builder incrementally assembles a Problem. It exists because the BIRP
@@ -929,7 +819,6 @@ type Builder struct {
 	lb, ub  []float64
 	integer []bool
 	c       []float64
-	q       map[[2]int]float64
 	entries []sparseEntry
 	aeq     []rowRef
 	beq     []float64
@@ -953,9 +842,7 @@ type sparseEntry struct {
 type rowRef struct{ start, end int32 }
 
 // NewBuilder returns an empty model builder.
-func NewBuilder() *Builder {
-	return &Builder{q: make(map[[2]int]float64)}
-}
+func NewBuilder() *Builder { return &Builder{} }
 
 // Reset empties the builder for a fresh model while keeping every backing
 // array (names, bounds, rows, the entry slab, the BuildShared storage), so a
@@ -967,10 +854,6 @@ func (b *Builder) Reset() {
 	b.ub = b.ub[:0]
 	b.integer = b.integer[:0]
 	b.c = b.c[:0]
-	//birplint:ordered // delete-every-key is iteration-order independent
-	for k := range b.q {
-		delete(b.q, k)
-	}
 	b.entries = b.entries[:0]
 	b.aeq = b.aeq[:0]
 	b.beq = b.beq[:0]
@@ -993,14 +876,6 @@ func (b *Builder) AddBinary(name string) int { return b.AddVar(name, 0, 1, true)
 
 // SetObj adds coef to the linear objective coefficient of column j.
 func (b *Builder) SetObj(j int, coef float64) { b.c[j] += coef }
-
-// SetQuad adds coef·x_i·x_j to the objective (symmetrized into Q).
-func (b *Builder) SetQuad(i, j int, coef float64) {
-	if i > j {
-		i, j = j, i
-	}
-	b.q[[2]int{i, j}] += coef
-}
 
 // AddEq adds the constraint Σ coefs[k]·x[cols[k]] = rhs.
 func (b *Builder) AddEq(cols []int, coefs []float64, rhs float64) {
@@ -1040,7 +915,7 @@ func (b *Builder) appendRow(cols []int, coefs []float64, sign float64) rowRef {
 //	z ≤ yMax·x,   z ≤ y,   z ≥ y − yMax·(1−x),   z ≥ 0.
 //
 // It returns z's column index. This is how the bilinear loss·x·b objective
-// terms of problem P1/P2 become quadratic-programming compatible.
+// terms of problem P1/P2 become linear.
 func (b *Builder) LinearizeProduct(name string, x, y int, yMax float64) int {
 	z := b.AddVar(name, 0, yMax, false)
 	b.AddLe([]int{z, x}, []float64{1, -yMax}, 0)            // z − yMax·x ≤ 0
@@ -1063,30 +938,6 @@ func (b *Builder) Build() *Problem {
 		Lb:      clone(b.lb),
 		Ub:      clone(b.ub),
 		Integer: append([]bool(nil), b.integer...),
-	}
-	if len(b.q) > 0 {
-		q := mat.New(n, n)
-		keys := make([][2]int, 0, len(b.q))
-		for key := range b.q {
-			keys = append(keys, key)
-		}
-		sort.Slice(keys, func(a, z int) bool {
-			if keys[a][0] != keys[z][0] {
-				return keys[a][0] < keys[z][0]
-			}
-			return keys[a][1] < keys[z][1]
-		})
-		for _, key := range keys {
-			v := b.q[key]
-			i, j := key[0], key[1]
-			if i == j {
-				q.Set(i, i, q.At(i, i)+2*v) // ½xᵀQx convention
-			} else {
-				q.Set(i, j, q.At(i, j)+v)
-				q.Set(j, i, q.At(j, i)+v)
-			}
-		}
-		p.Q = q
 	}
 	dense := func(rows []rowRef) [][]float64 {
 		out := make([][]float64, len(rows))
@@ -1112,19 +963,14 @@ func (b *Builder) Build() *Problem {
 // references alias the builder: they are valid only until the next Reset or
 // BuildShared call, and the builder must not be mutated (AddVar/SetObj/...)
 // while the Problem is in use. Callers that need the model to outlive the
-// builder cycle must use Build. Quadratic objectives fall back to the
-// allocating Build path (BIRP's per-edge models are linear).
+// builder cycle must use Build.
 func (b *Builder) BuildShared() *Problem {
-	if len(b.q) > 0 {
-		return b.Build()
-	}
 	n := len(b.names)
 	p := &b.shared
 	p.C = b.c
 	p.Lb = b.lb
 	p.Ub = b.ub
 	p.Integer = b.integer
-	p.Q = nil
 	p.Beq = b.beq
 	p.Bub = b.bub
 	m := len(b.aeq) + len(b.aub)

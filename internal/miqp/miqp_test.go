@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/mat"
 )
 
 func solveOK(t *testing.T, p *Problem) *Result {
@@ -130,57 +128,11 @@ func TestValidation(t *testing.T) {
 		{C: []float64{1}, Lb: []float64{1, 2}},
 		{C: []float64{1}, Ub: []float64{}},
 		{C: []float64{1}, Lb: []float64{2}, Ub: []float64{1}},
-		{C: []float64{1, 1}, Q: mat.Identity(3)},
 	}
 	for i, p := range cases {
 		if _, err := Solve(p); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
-	}
-}
-
-func TestQuadraticIntegerObjective(t *testing.T) {
-	// min (x−2.6)² over integers in [0,10] → x = 3.
-	q := mat.New(1, 1)
-	q.Set(0, 0, 2)
-	p := &Problem{
-		Q:       q,
-		C:       []float64{-5.2},
-		Ub:      []float64{10},
-		Integer: []bool{true},
-	}
-	res := solveOK(t, p)
-	if res.Status != StatusOptimal || res.X[0] != 3 {
-		t.Fatalf("got %v x=%v", res.Status, res.X)
-	}
-}
-
-func TestQuadraticMixedInteger(t *testing.T) {
-	// min (x−1.5)² + (y−2.5)², x integer in [0,5], y continuous in [0,5].
-	// Optimum: x ∈ {1,2} (either gives 0.25), y = 2.5.
-	q := mat.New(2, 2)
-	q.Set(0, 0, 2)
-	q.Set(1, 1, 2)
-	p := &Problem{
-		Q:       q,
-		C:       []float64{-3, -5},
-		Ub:      []float64{5, 5},
-		Integer: []bool{true, false},
-	}
-	res := solveOK(t, p)
-	if res.Status != StatusOptimal {
-		t.Fatalf("status %v", res.Status)
-	}
-	objWant := 0.25 + 0 - (1.5*1.5 + 2.5*2.5) // complete the square offset
-	if math.Abs(res.Obj-objWant) > 1e-5 {
-		t.Fatalf("obj = %v, want %v (x=%v)", res.Obj, objWant, res.X)
-	}
-	x0 := math.Round(res.X[0])
-	if x0 != 1 && x0 != 2 {
-		t.Fatalf("x0 = %v, want 1 or 2", res.X[0])
-	}
-	if math.Abs(res.X[1]-2.5) > 1e-5 {
-		t.Fatalf("y = %v, want 2.5", res.X[1])
 	}
 }
 
@@ -340,18 +292,6 @@ func TestBuilderEquality(t *testing.T) {
 	res := solveOK(t, b.Build())
 	if res.Status != StatusOptimal || math.Abs(res.Obj-6) > 1e-7 {
 		t.Fatalf("obj = %v, want 6 (x=%v)", res.Obj, res.X)
-	}
-}
-
-func TestBuilderQuadratic(t *testing.T) {
-	// min x² − 4x over [0, 10] → x = 2, obj −4.
-	b := NewBuilder()
-	x := b.AddVar("x", 0, 10, false)
-	b.SetQuad(x, x, 1)
-	b.SetObj(x, -4)
-	res := solveOK(t, b.Build())
-	if res.Status != StatusOptimal || math.Abs(res.Obj-(-4)) > 1e-5 {
-		t.Fatalf("obj = %v, want -4", res.Obj)
 	}
 }
 

@@ -144,3 +144,81 @@ func TestDenseVsRevisedEngineEquivalence(t *testing.T) {
 		t.Fatal("no instance exercised dual re-entry; the revised side of the differential is vacuous")
 	}
 }
+
+// TestFactorReuseKnobEquivalence pins the determinism contract of the
+// persistent-factorization handoff: Options.NoFactorReuse must be
+// solution-neutral AND search-neutral. Reusing a parent basis's LU factors is
+// bit-identical to refactorizing the same basis, so toggling the knob may
+// only move the work counters (Refactorizations, FactorReuses) — the solution
+// vector, objective, node count and pivot count must not change. A drift in
+// nodes or pivots would mean reuse altered the numerics, not just the
+// accounting. Only instances whose reuse-on solve actually loaded a captured
+// factorization count toward the contract.
+func TestFactorReuseKnobEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	exercised := 0
+	for i := 0; i < 88; i++ {
+		p := randomMILP(rng)
+		if i >= 80 {
+			// A few wider instances with deeper trees (tens to hundreds of
+			// nodes), where reused factors chain through many generations
+			// of warm re-entries.
+			p = wideMILP(rng)
+		}
+		on, err := SolveOpts(p, Options{Workers: 1})
+		if err != nil {
+			t.Fatalf("instance %d reuse on: %v", i, err)
+		}
+		off, err := SolveOpts(p, Options{Workers: 1, NoFactorReuse: true})
+		if err != nil {
+			t.Fatalf("instance %d reuse off: %v", i, err)
+		}
+		if off.Stats.FactorReuses != 0 {
+			t.Fatalf("instance %d: NoFactorReuse run still reused factors %d times", i, off.Stats.FactorReuses)
+		}
+		if on.Stats.FactorReuses == 0 {
+			continue
+		}
+		exercised++
+		if on.Status != off.Status || !reflect.DeepEqual(on.X, off.X) ||
+			math.Float64bits(on.Obj) != math.Float64bits(off.Obj) || on.Nodes != off.Nodes {
+			t.Fatalf("instance %d: result moved with the NoFactorReuse knob\nreuse on:  %v x=%v obj=%v nodes=%d\nreuse off: %v x=%v obj=%v nodes=%d",
+				i, on.Status, on.X, on.Obj, on.Nodes, off.Status, off.X, off.Obj, off.Nodes)
+		}
+		// Neutralize the two counters the knob is allowed to move, then
+		// demand every remaining counter — nodes, relaxations, pivots, dual
+		// work, eta updates, presolve — be bit-identical.
+		sOn, sOff := on.Stats, off.Stats
+		sOn.Refactorizations, sOff.Refactorizations = 0, 0
+		sOn.FactorReuses, sOff.FactorReuses = 0, 0
+		if sOn != sOff {
+			t.Fatalf("instance %d: search counters moved with the NoFactorReuse knob\nreuse on:  %+v\nreuse off: %+v", i, sOn, sOff)
+		}
+	}
+	if exercised < 10 {
+		t.Fatalf("only %d instances reused a factorization; the knob test is near vacuous", exercised)
+	}
+}
+
+// wideMILP draws a 40-variable, 8-row packing MILP whose branch & bound trees
+// run to tens or hundreds of nodes.
+func wideMILP(rng *rand.Rand) *Problem {
+	const n, m = 40, 8
+	p := &Problem{C: make([]float64, n), Ub: make([]float64, n), Integer: make([]bool, n)}
+	for j := 0; j < n; j++ {
+		p.C[j] = -1 - 9*rng.Float64()
+		p.Ub[j] = float64(1 + rng.Intn(3))
+		p.Integer[j] = j%4 != 3
+	}
+	for i := 0; i < m; i++ {
+		row := make([]float64, n)
+		var sum float64
+		for j := range row {
+			row[j] = 5 * rng.Float64()
+			sum += row[j]
+		}
+		p.Aub = append(p.Aub, row)
+		p.Bub = append(p.Bub, 0.3*sum)
+	}
+	return p
+}

@@ -10,9 +10,6 @@ Usage:
                           the serial arm ran twice and the report keeps the
                           faster repetition (wall-clock is host-noisy, the
                           printed results were byte-compared identical)
-    fig7_nofr.json        same run with -nofactorreuse; check.sh byte-compared
-                          its stdout (modulo the refactor=/factor-reuse=
-                          counters) against the workers=1 run
     serve_w{1,4}_r{1,2,3}.json
                           birpserve 10k-request replay counters (-json),
                           three repetitions per planner worker count; the
@@ -24,9 +21,10 @@ Usage:
                           per-experiment cpu/allocs profiles
 
 The report carries the fig7 trajectory (PR1→PR2→PR5→PR6→PR7→PR9→PR10), the
-steady-state slot-loop allocation trajectory, the factor-reuse knob's work
-counters, the serving throughput at both worker counts, the micro-benchmarks,
-and the profile frame tables.
+steady-state slot-loop allocation trajectory, the serving throughput at both
+worker counts, the micro-benchmarks, and the profile frame tables. The
+factor-reuse knob's bit-identity (only the LU work counters move) is pinned
+in-process by miqp's TestFactorReuseKnobEquivalence.
 """
 import json
 import os
@@ -168,7 +166,6 @@ def main():
         else None
     )
     fig7 = [w1, load_run(os.path.join(d, "fig7_w4.json"))]
-    nofr = load_run(os.path.join(d, "fig7_nofr.json"))
     serve = [best_serve(d, w) for w in (1, 4)]
     serve = [r for r in serve if r]
     priors = {
@@ -186,7 +183,7 @@ def main():
             "allocs/op of the steady-state slot loop (was 841-938 in prior "
             "PRs), the LU work counters (factor_reuses warm re-entries "
             "skipped refactorization; plans byte-identical either way, "
-            "gated by the -nofactorreuse compare matrix), and the "
+            "pinned by miqp's TestFactorReuseKnobEquivalence), and the "
             "byte-compared decision logs. Wall-clock seconds fluctuate "
             "±10-30% between identical runs on this shared host — "
             "cross-PR trajectory seconds mix machine drift with real "
@@ -196,32 +193,13 @@ def main():
         ),
         "go": "go1.24 linux/amd64",
         "command": (
-            "birpbench -exp fig7 -slots 150 -seed 1 -workers {1,4} "
-            "[-nofactorreuse]; birpserve -gen 10000 -seed 1 -policy "
+            "birpbench -exp fig7 -slots 150 -seed 1 -workers {1,4}; "
+            "birpserve -gen 10000 -seed 1 -policy "
             "token-bucket -cap 64 -rate 48 -route least-loaded -workers {1,4}"
         ),
         "decision_logs_identical_across_workers": True,
-        "plans_identical_across_factor_reuse_knob": nofr is not None,
         "slot_loop_alloc_budget": SLOT_LOOP_ALLOC_BUDGET,
     }
-
-    # Factor-reuse knob: same search (nodes, pivots), different LU work.
-    if nofr and fig7[0]:
-        knob = {}
-        on_solver = fig7[0].get("solver") or {}
-        off_solver = nofr.get("solver") or {}
-        for arm in sorted(set(on_solver) & set(off_solver)):
-            on, off = on_solver[arm], off_solver[arm]
-            knob[arm] = {
-                "nodes": on.get("nodes"),
-                "pivots": on.get("pivots"),
-                "refactorizations_reuse_on": on.get("refactorizations"),
-                "refactorizations_reuse_off": off.get("refactorizations"),
-                "factor_reuses": on.get("factor_reuses"),
-                "search_identical": on.get("nodes") == off.get("nodes")
-                and on.get("pivots") == off.get("pivots"),
-            }
-        report["factor_reuse_knob"] = knob
 
     report["serve_replay"] = serve
     if len(serve) == 2 and serve[0]["admitted_per_sec"]:

@@ -4,15 +4,16 @@
 # parallel solve engine requires; CI and pre-commit hooks should run this.
 #
 # Usage:
-#   scripts/check.sh          # full gate (lint + race over every package + serve smoke)
+#   scripts/check.sh          # full gate (lint + race over every package +
+#                             # multi-CPU repeats of the concurrency-bearing
+#                             # packages + serve smoke)
 #   scripts/check.sh -short   # quick tier: lint + build + short-mode race + serve smoke
 #   scripts/check.sh -lint    # lint tier only: vet + gofmt + birplint
 #   scripts/check.sh -serve   # serving smoke tier only: 10k-request replay with
 #                             # byte-identical decision logs across -workers {1,4},
 #                             # accounting + staleness-bound assertions, and a TCP
 #                             # daemon round trip with SIGINT clean shutdown
-#   scripts/check.sh -bench   # bench tier: fig7 workers {1,4} + factor-reuse
-#                             # knob byte-compare matrix, serve replay
+#   scripts/check.sh -bench   # bench tier: fig7 workers {1,4}, serve replay
 #                             # throughput + staleness percentiles, micro-benches
 #                             # with the slot-loop allocs/op gate, CPU/allocs
 #                             # profile capture; writes BENCH_PR10.json
@@ -114,21 +115,6 @@ if [[ "${1:-}" == "-bench" ]]; then
 	identical fig7
 	sed '/ completed in /d' "$tmp/out_fig7_w1b.txt" >"$tmp/id_fig7_w1b.txt"
 	cmp "$tmp/id_fig7_w1.txt" "$tmp/id_fig7_w1b.txt"
-
-	# Factor-reuse knob matrix: -nofactorreuse may only move the two LU work
-	# counters (refactor=, factor-reuse=); plans, losses, node and pivot
-	# counts must be byte-identical. Normalize exactly those two fields and
-	# the wall-clock trailer, then demand identity with the workers=1 run.
-	echo "== fig7 -nofactorreuse (knob byte-compare: plans and search identical)"
-	"$tmp/birpbench" -exp fig7 -slots 150 -seed 1 -workers 1 -nofactorreuse \
-		-solverstats -json "$tmp/fig7_nofr.json" >"$tmp/out_fig7_nofr.txt"
-	for f in out_fig7_w1 out_fig7_nofr; do
-		sed -e '/ completed in /d' \
-			-e 's/refactor=[0-9]*/refactor=_/g' \
-			-e 's/factor-reuse=[0-9]*/factor-reuse=_/g' \
-			"$tmp/$f.txt" >"$tmp/knob_$f.txt"
-	done
-	cmp "$tmp/knob_out_fig7_w1.txt" "$tmp/knob_out_fig7_nofr.txt"
 
 	# Throughput is wall-clock: three repetitions per worker count, report
 	# keeps the best; every repetition's decision log must be byte-identical
@@ -238,6 +224,15 @@ fi
 # gets a generous timeout for single-core machines.
 echo "== go test -race $short ./..."
 go test -race $short -timeout 45m ./...
+
+# The race pass runs each test once at the host's CPU count; protocol
+# shutdown races (edgenet, serve TCP) and pool scheduling only show up under
+# other core counts and repeated runs, so the full gate repeats the
+# concurrency-bearing packages at -cpu 1,2,4.
+if [[ -z "$short" ]]; then
+	echo "== go test -count=3 -cpu 1,2,4 (edgenet, serve, par)"
+	go test -count=3 -cpu 1,2,4 ./internal/edgenet ./internal/serve ./internal/par
+fi
 
 serve_smoke
 
