@@ -2,7 +2,6 @@ package edgenet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/connset"
 	"repro/internal/edgesim"
 	"repro/internal/metrics"
 	"repro/internal/models"
@@ -95,12 +95,10 @@ type Server struct {
 	// serialPhases disables the concurrent phase collection (test hook: the
 	// fold order is by edge id either way, so the Report must not change).
 	serialPhases bool
-	// mu guards the shutdown state: Close must sever any connection whose
-	// hello is still being read, or the reading goroutine stays parked
-	// until its SlotTimeout deadline (the shutdown race this fixes).
-	mu      sync.Mutex
-	closed  bool
-	pending map[net.Conn]struct{} // conns mid-hello during registration
+	// pending holds the listener and the conns mid-hello during
+	// registration: Close must sever them, or the reading goroutine stays
+	// parked until its SlotTimeout deadline.
+	pending *connset.Set
 }
 
 // NewServer binds the listen address; call Run to serve.
@@ -118,7 +116,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("edgenet: listen: %w", err)
 	}
-	return &Server{cfg: cfg, ln: ln, pending: map[net.Conn]struct{}{}}, nil
+	return &Server{cfg: cfg, ln: ln, pending: connset.New(ln)}, nil
 }
 
 // Addr returns the bound listen address (for agents to dial).
@@ -130,44 +128,7 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 // deadline. Idempotent and safe to call concurrently with Run — repeated
 // or post-Run calls return nil rather than a spurious "use of closed
 // network connection".
-func (s *Server) Close() error {
-	s.mu.Lock()
-	already := s.closed
-	s.closed = true
-	err := s.ln.Close()
-	for c := range s.pending {
-		_ = c.Close()
-	}
-	s.mu.Unlock()
-	if already || err == nil || errors.Is(err, net.ErrClosed) {
-		return nil
-	}
-	return err
-}
-
-// track registers a conn whose hello is being read; false once Close has
-// begun (the caller must abandon the conn).
-func (s *Server) track(c net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.pending[c] = struct{}{}
-	return true
-}
-
-func (s *Server) untrack(c net.Conn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.pending, c)
-}
-
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
+func (s *Server) Close() error { return s.pending.Close() }
 
 // rejoinReq is a validated mid-run hello parked by the accept loop until the
 // slot loop folds it in at a boundary.
@@ -459,7 +420,7 @@ func (s *Server) register(ctx context.Context, conns []*conn) error {
 		}
 		raw, err := s.ln.Accept()
 		if err != nil {
-			if s.isClosed() {
+			if s.pending.Closed() {
 				return fmt.Errorf("edgenet: server closed during registration (have %d/%d agents)", registered, K)
 			}
 			return fmt.Errorf("edgenet: accept (have %d/%d agents): %w", registered, K, err)
@@ -467,14 +428,14 @@ func (s *Server) register(ctx context.Context, conns []*conn) error {
 		// Track the conn for the duration of the hello read so an external
 		// Close severs it instead of leaving this loop parked until the
 		// read deadline.
-		if !s.track(raw) {
+		if !s.pending.Track(raw) {
 			_ = raw.Close()
 			return fmt.Errorf("edgenet: server closed during registration (have %d/%d agents)", registered, K)
 		}
 		c := &conn{raw: raw}
 		_ = raw.SetReadDeadline(deadline)
 		m, err := c.recv()
-		s.untrack(raw)
+		s.pending.Untrack(raw)
 		if err != nil || m.Type != TypeHello {
 			c.close()
 			continue

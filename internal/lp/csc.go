@@ -6,7 +6,7 @@ package lp
 // quantity is a product against the original matrix (pricing, BTRAN row
 // extraction) or against one of its columns (FTRAN), so the matrix is stored
 // once, column-major and sparse, and each iteration costs O(nnz) matrix work
-// instead of the dense engine's O(m·n) tableau sweep. BIRP's per-slot
+// instead of a dense tableau's O(m·n) sweep. BIRP's per-slot
 // programs are built from small constraint groups (a handful of nonzeros per
 // column), which is exactly the regime where this wins.
 type cscMatrix struct {

@@ -37,10 +37,10 @@ func patternOf(lb, ub float64) uint8 {
 // rhs (via a per-row nonzero index, O(nnz) instead of O(m·n)), and the native
 // column upper bounds.
 //
-// The compiled rows skip the b ≥ 0 normalization that the cold path needs for
-// its Phase-I construction: the warm path never runs Phase I, and row signs
-// are irrelevant to the crash/repair/polish pipeline. Slack-column duals stay
-// valid — an unnegated ≤ row always keeps its +1 slack.
+// The compiled rows skip the b ≥ 0 normalization of toStandardForm: the
+// kernel's sign-matched artificials make it unnecessary, so the per-solve
+// coefficient transform is skipped entirely. Slack-column duals stay valid —
+// an unnegated ≤ row always keeps its +1 slack.
 //
 // A Form is immutable after NewForm and safe to share across concurrent
 // solvers, each holding its own Scratch. The matrices are aliased, not copied:
@@ -67,9 +67,9 @@ type Form struct {
 	rowNZ  [][]int32
 	rowVal [][]float64
 
-	// csc is the compiled sparse column form of sfA for the revised engine:
-	// one compression per tree instead of one per solve. Read-only after
-	// NewForm, like everything else here.
+	// csc is the compiled sparse column form of sfA: one compression per
+	// tree instead of one per solve. Read-only after NewForm, like
+	// everything else here.
 	csc cscMatrix
 
 	// Backing slabs for the per-row slices above, recycled by NewFormReuse.
@@ -233,11 +233,12 @@ func growRowsI32(s [][]int32, n int) [][]int32 {
 // compiled data. It reserves the scratch (so it must precede every take of the
 // same solve) and returns ok = false when the bounds no longer match the
 // compiled pattern — a variable changed substitution category, so the caller
-// must rebuild from the raw problem instead.
+// must rebuild from the raw problem instead. The rows are precompiled, so the
+// reservation is O(n+m): shift, colUB, b, and the solution vector the solve
+// ends with.
 func (f *Form) instantiate(lb, ub []float64, sc *Scratch) (*standardForm, bool) {
 	n, m, nCols := f.n, f.m, f.nCols
-	width := nCols + 1
-	sc.reserve(n + nCols + m + (m+2)*width + nCols + m + 8)
+	sc.reserve(n + 2*nCols + m)
 	shift := sc.takeNoZero(n)
 	colUB := sc.takeNoZero(nCols)
 	for j := 0; j < n; j++ {
@@ -291,10 +292,11 @@ func (f *Form) instantiate(lb, ub []float64, sc *Scratch) (*standardForm, bool) 
 
 // SolveWarm solves the compiled problem under the given bounds, re-entering
 // from warm when non-nil, exactly like the package-level SolveWarm but
-// skipping the per-solve coefficient transform. Bounds must have the pattern
-// the Form was compiled with; a pattern mismatch (or any warm-path failure)
-// falls back to the ordinary cold solve on the raw problem, so results are
-// identical to SolveWarm on the equivalent Problem.
+// skipping the per-solve coefficient transform: the warm re-entry and the
+// cold two-phase solve both run on the compiled (unnormalized) rows and the
+// precompiled CSC. A pattern mismatch or a numerical failure falls back to
+// the ordinary cold solve on the raw problem's normalized rows, so results
+// are identical to SolveWarm on the equivalent Problem.
 func (f *Form) SolveWarm(lb, ub []float64, opt Options, sc *Scratch, warm *Basis) (*Result, error) {
 	if sc == nil {
 		sc = NewScratch()
@@ -310,49 +312,22 @@ func (f *Form) SolveWarm(lb, ub []float64, opt Options, sc *Scratch, warm *Basis
 	if mat.Zero(tol) {
 		tol = defaultTol
 	}
-	if opt.Engine != EngineDense {
-		// Revised engine: both the warm re-entry and the cold two-phase solve
-		// run directly on the compiled (unnormalized) rows and the
-		// precompiled CSC — sign-matched artificials make the b ≥ 0
-		// normalization unnecessary, so the per-solve coefficient transform
-		// is skipped entirely. Pattern mismatch or a numerical failure falls
-		// through to the raw-problem cold path below.
-		if sf, ok := f.instantiate(lb, ub, sc); ok {
-			if warm != nil {
-				if res, ok2 := revWarmAttempt(p, f.n, sf, &f.csc, opt, tol, sc, warm); ok2 {
-					return res, nil
-				}
-			}
-			maxIter := opt.MaxIter
-			if maxIter == 0 {
-				maxIter = 20*(f.m+f.nCols) + 200
-			}
-			if f.m > 0 {
-				if res, ok2 := revSolveCold(p, f.n, sf, &f.csc, opt, tol, sc, maxIter); ok2 {
-					if warm != nil {
-						res.WarmFallback = true
-					}
-					return res, nil
-				}
-			}
+	sf, ok := f.instantiate(lb, ub, sc)
+	if ok && warm != nil {
+		if res, ok := revWarmAttempt(p, f.n, sf, &f.csc, opt, tol, sc, warm); ok {
+			return res, nil
 		}
-		res, err := solveCold(p, f.n, opt, tol, sc)
-		if err == nil && warm != nil {
-			res.WarmFallback = true
-		}
-		return res, err
 	}
-	if warm != nil {
-		if sf, ok := f.instantiate(lb, ub, sc); ok {
-			if res, ok := warmAttemptSF(p, f.n, sf, opt, tol, sc, warm); ok {
-				return res, nil
-			}
-		}
-		res, err := solveCold(p, f.n, opt, tol, sc)
-		if err == nil {
-			res.WarmFallback = true
-		}
-		return res, err
+	var res *Result
+	if ok {
+		res, ok = solveStandard(p, f.n, sf, &f.csc, opt, tol, sc)
 	}
-	return solveCold(p, f.n, opt, tol, sc)
+	var err error
+	if !ok {
+		res, err = solveCold(p, f.n, opt, tol, sc)
+	}
+	if err == nil && warm != nil {
+		res.WarmFallback = true
+	}
+	return res, err
 }

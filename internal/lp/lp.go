@@ -1,4 +1,4 @@
-// Package lp implements bounded-variable simplex solvers for linear programs
+// Package lp implements a bounded-variable simplex solver for linear programs
 // in the general form
 //
 //	minimize    cᵀx
@@ -15,16 +15,17 @@
 // seed the basis; Phase II optimizes the true objective. Bland's rule is
 // engaged after a stall to guarantee termination.
 //
-// Two interchangeable kernels implement that scheme. The default
-// EngineRevised (revised.go) is a sparse revised simplex: the constraint
+// The kernel (revised.go) is a sparse revised simplex: the constraint
 // matrix stays in CSC form, the basis is an LU factorization with eta-file
 // updates and a deterministic refactorization trigger, iterations price with
 // BTRAN and update with FTRAN, and warm re-entry after a bound tightening
-// runs the dual simplex. EngineDense (bounded.go) is the original dense
-// tableau, kept as an A/B oracle and as the fallback when a factorization is
-// numerically singular. Both target the small per-slot instances produced by
-// the BIRP scheduler (tens to a few hundred variables) and both are
-// bit-deterministic: identical inputs produce identical pivot trajectories.
+// runs the dual simplex. A problem without rows has a closed-form answer and
+// never reaches the kernel; a kernel failure that survives the retry on
+// normalized rows is reported as ErrNumerical. The kernel targets the small
+// per-slot instances produced by the BIRP scheduler (tens to a few hundred
+// variables) and is bit-deterministic: identical inputs produce identical
+// pivot trajectories. The package's original dense tableau engine lives on
+// in the tests as the differential oracle.
 package lp
 
 import (
@@ -70,6 +71,12 @@ func (s Status) String() string {
 // dimensions, NaN coefficients, crossed bounds).
 var ErrBadProblem = errors.New("lp: malformed problem")
 
+// ErrNumerical is returned when the simplex kernel cannot finish a solve
+// for numerical reasons (a singular basis factorization or a pivot too small
+// to invert) even after retrying on the normalized rows. The failure is a
+// pure function of the input, so it is deterministic.
+var ErrNumerical = errors.New("lp: numerical failure in the simplex kernel")
+
 // Inf is a convenience alias for +Inf used in bound slices.
 var Inf = math.Inf(1)
 
@@ -107,24 +114,20 @@ type Result struct {
 	// |rc|·δ; 0 means basic, free, or degenerate (no information).
 	ReducedCosts []float64
 	// Warm reports that this solve re-entered from a caller-supplied basis
-	// (crash + repair + polish) instead of the cold two-phase path.
+	// (dual repair + polish) instead of the cold two-phase path.
 	Warm bool
 	// WarmFallback reports that a warm attempt was made but abandoned
-	// (singular crash pivot, repair stall, …) and the result came from the
-	// cold path instead.
+	// (shape mismatch, singular factorization, repair stall, …) and the
+	// result came from the cold path instead.
 	WarmFallback bool
-	// CrashPivots and RepairPivots count the extra pivots of a warm solve's
-	// basis crash and feasibility repair; Iterations counts the simplex
-	// iterations of the main loop (Phase I + II when cold, polish when warm).
-	CrashPivots  int
-	RepairPivots int
-	// DualReentry reports that a revised-engine warm solve re-entered through
-	// the dual simplex under the caller's PreferDual guarantee; DualPivots
-	// counts its dual pivots (also included in RepairPivots so Pivots() stays
-	// comparable across engines).
+	// DualReentry reports that a warm solve re-entered through the dual
+	// simplex under the caller's PreferDual guarantee. DualPivots counts the
+	// dual pivots of a warm solve's feasibility repair; Iterations counts the
+	// simplex iterations of the main loop (Phase I + II when cold, polish
+	// when warm).
 	DualReentry bool
 	DualPivots  int
-	// Refactorizations and EtaLen are revised-engine observability: basis
+	// Refactorizations and EtaLen are kernel observability: basis
 	// refactorization count and total eta-file updates of the solve.
 	Refactorizations int
 	EtaLen           int
@@ -136,9 +139,9 @@ type Result struct {
 	FactorReuses int
 }
 
-// Pivots returns the total pivot work of the solve: crash and repair pivots
+// Pivots returns the total pivot work of the solve: the dual repair pivots
 // (warm path) plus the main-loop simplex iterations.
-func (r *Result) Pivots() int { return r.CrashPivots + r.RepairPivots + r.Iterations }
+func (r *Result) Pivots() int { return r.DualPivots + r.Iterations }
 
 // Options tunes the solver.
 type Options struct {
@@ -158,18 +161,14 @@ type Options struct {
 	// malformed problem solved with AssumeValid may panic or return
 	// nonsense instead of ErrBadProblem.
 	AssumeValid bool
-	// Engine selects the simplex kernel; the zero value is the sparse
-	// revised simplex (EngineRevised). EngineDense forces the legacy dense
-	// tableau, the A/B oracle.
-	Engine Engine
 	// PreferDual asserts that the warm basis passed to SolveWarm was optimal
 	// for a problem differing from this one only in variable bounds, so it
 	// is dual feasible here. The revised engine then trusts a dual-simplex
 	// dead-end as a certified StatusInfeasible instead of falling back to a
 	// cold solve. Never set it when costs or constraint data changed.
-	// Ignored by the dense engine and by cold solves.
+	// Ignored by cold solves.
 	PreferDual bool
-	// NoFactorReuse disables the factorization handoff of the revised engine:
+	// NoFactorReuse disables the factorization handoff of the kernel:
 	// captured bases then carry no LU snapshot and warm re-entries always
 	// refactorize from scratch, exactly the pre-reuse behavior. Debug knob for
 	// A/B equivalence runs — plans are byte-identical either way (the snapshot
@@ -179,17 +178,20 @@ type Options struct {
 
 const defaultTol = 1e-9
 
-// Scratch is reusable storage for the solver's large allocations (the
-// standard-form rows and the simplex tableau). A Scratch amortizes the
-// steady-state allocation cost of repeated solves — the branch-and-bound node
-// loop in package miqp holds one per worker — and may be reused across any
-// number of sequential SolveScratch calls. It is NOT safe for concurrent use:
+// Scratch is reusable storage for the solver's per-solve float vectors (the
+// standard-form rows, rhs, costs, bounds and solution). A Scratch amortizes
+// the steady-state allocation cost of repeated solves — the branch-and-bound
+// node loop in package miqp holds one per worker — and may be reused across
+// any number of sequential SolveScratch calls. It is NOT safe for concurrent use:
 // concurrent solvers must hold one Scratch each. Results returned by the
 // solver never alias scratch memory, so they stay valid after the scratch is
 // reused.
 type Scratch struct {
 	buf  []float64
 	used int
+	// spills counts takes that found the reservation too small and went to
+	// the heap; reservations are sized so that it stays 0.
+	spills int
 	// rev is the lazily created revised-simplex engine state (LU storage,
 	// eta file, work vectors), reused across solves under the same
 	// single-owner discipline as the arena.
@@ -228,6 +230,7 @@ func (s *Scratch) reserve(n int) {
 // earlier takes.
 func (s *Scratch) take(n int) []float64 {
 	if s.used+n > len(s.buf) {
+		s.spills++
 		return make([]float64, n)
 	}
 	out := s.buf[s.used : s.used+n : s.used+n]
@@ -239,11 +242,12 @@ func (s *Scratch) take(n int) []float64 {
 }
 
 // takeNoZero is take without the zero fill, for slices every element of which
-// the caller immediately overwrites (tableau rows built by copy, bound vectors
-// filled by an exhaustive loop). Using it for a slice that is only *partially*
-// written leaks stale floats from the previous solve into this one.
+// the caller immediately overwrites (bound vectors filled by an exhaustive
+// loop). Using it for a slice that is only *partially* written leaks stale
+// floats from the previous solve into this one.
 func (s *Scratch) takeNoZero(n int) []float64 {
 	if s.used+n > len(s.buf) {
+		s.spills++
 		return make([]float64, n)
 	}
 	out := s.buf[s.used : s.used+n : s.used+n]
@@ -273,13 +277,13 @@ func SolveScratch(p *Problem, opt Options, sc *Scratch) (*Result, error) {
 }
 
 // SolveWarm solves the problem like SolveScratch but, when warm is non-nil,
-// first tries to re-enter the simplex from the supplied basis: the tableau is
-// rebuilt under the (possibly tightened) bounds, crashed onto the basis, made
-// primal feasible again with dual-simplex-style pivots, and polished to
-// optimality. Whenever the warm path cannot finish — basis shape mismatch,
-// singular crash pivot, repair stall — it falls back to the cold two-phase
-// solve, so the returned result is always exactly what SolveScratch computes
-// modulo the vertex chosen among ties. warm may be nil (plain cold solve).
+// first tries to re-enter the simplex from the supplied basis: the basis is
+// factorized under the (possibly tightened) bounds, made primal feasible
+// again with dual simplex pivots, and polished to optimality. Whenever the
+// warm path cannot finish — basis shape mismatch, singular factorization,
+// repair stall — it falls back to the cold two-phase solve, so the returned
+// result is always exactly what SolveScratch computes modulo the vertex
+// chosen among ties. warm may be nil (plain cold solve).
 func SolveWarm(p *Problem, opt Options, sc *Scratch, warm *Basis) (*Result, error) {
 	if sc == nil {
 		sc = NewScratch()
@@ -295,11 +299,7 @@ func SolveWarm(p *Problem, opt Options, sc *Scratch, warm *Basis) (*Result, erro
 		tol = defaultTol
 	}
 	if warm != nil {
-		if opt.Engine == EngineDense {
-			if res, ok := solveWarmAttempt(p, n, opt, tol, sc, warm); ok {
-				return res, nil
-			}
-		} else if res, ok := revWarmSolve(p, n, opt, tol, sc, warm); ok {
+		if res, ok := revWarmAttempt(p, n, toStandardForm(p, n, sc), nil, opt, tol, sc, warm); ok {
 			return res, nil
 		}
 	}
@@ -310,88 +310,48 @@ func SolveWarm(p *Problem, opt Options, sc *Scratch, warm *Basis) (*Result, erro
 	return res, err
 }
 
-// revWarmSolve is the package-level revised warm entry: build the standard
-// form for the problem, then attempt the factorized re-entry.
-func revWarmSolve(p *Problem, n int, opt Options, tol float64, sc *Scratch, warm *Basis) (*Result, bool) {
-	reserveFor(p, n, sc)
-	sf, err := toStandardForm(p, n, sc)
-	if err != nil {
-		return nil, false
-	}
-	return revWarmAttempt(p, n, sf, nil, opt, tol, sc, warm)
-}
-
-// reserveFor sizes the scratch arena for one solve of the problem's standard
-// form and returns (nCols, m). Growing the arena after slices have been handed
-// out would invalidate them, so every path reserves up front for the widest
-// (cold, artificial-bearing) tableau.
-func reserveFor(p *Problem, n int, sc *Scratch) (int, int) {
-	nStruct := 0
-	for j := 0; j < n; j++ {
-		lb, ub := boundsAt(p, j)
-		if math.IsInf(lb, -1) && math.IsInf(ub, 1) {
-			nStruct += 2 // free variables split into x⁺ − x⁻
-		} else {
-			nStruct++
-		}
-	}
-	nCols := nStruct + len(p.Aub)
-	m := len(p.Aeq) + len(p.Aub)
-	width := nCols + m + 1 // artificials ≤ m, plus the rhs column
-	sc.reserve(m*nCols + m + 2*nCols + 2*n + (m+1)*width + width + nCols + m)
-	return nCols, m
-}
-
+// solveCold is the cold solve on the normalized standard form, the last
+// resort of every path. A kernel failure here is final: ErrNumerical.
 func solveCold(p *Problem, n int, opt Options, tol float64, sc *Scratch) (*Result, error) {
-	reserveFor(p, n, sc)
-	sf, err := toStandardForm(p, n, sc)
-	if err != nil {
-		return nil, err
+	if res, ok := solveStandard(p, n, toStandardForm(p, n, sc), nil, opt, tol, sc); ok {
+		return res, nil
+	}
+	return nil, ErrNumerical
+}
+
+// solveStandard solves a built standard form from scratch: in closed form
+// when it has no rows, else with the two-phase revised simplex. csc may be
+// nil (compressed from sf.a). ok is false on a numerical failure of the
+// kernel.
+func solveStandard(p *Problem, n int, sf *standardForm, csc *cscMatrix, opt Options, tol float64, sc *Scratch) (*Result, bool) {
+	if len(sf.a) == 0 {
+		return solveNoRows(p, n, sf, tol, sc), true
 	}
 	maxIter := opt.MaxIter
 	if maxIter == 0 {
 		maxIter = 20*(len(sf.b)+sf.nCols) + 200
 	}
-	if opt.Engine != EngineDense && len(sf.a) > 0 {
-		if res, ok := revSolveCold(p, n, sf, nil, opt, tol, sc, maxIter); ok {
-			return res, nil
-		}
-		// Numerical failure in the revised kernel (singular factorization,
-		// un-invertible pivot): the dense oracle answers. The failure is a
-		// pure function of the input, so the fallback is deterministic.
-	}
-	st, xs, duals, iters, bt := solveBounded(sf, sf.colUB, tol, maxIter, sc)
-	res := &Result{Status: st, Iterations: iters}
-	if st != StatusOptimal {
-		return res, nil
-	}
-	finish(p, n, opt, tol, sf, bt, xs, duals, res)
-	return res, nil
+	return revSolveCold(p, n, sf, csc, opt, tol, sc, maxIter)
 }
 
-// finish recovers the original-variable solution, objective, duals, and the
-// optional basis/reduced-cost captures shared by the cold and warm paths.
-func finish(p *Problem, n int, opt Options, tol float64, sf *standardForm, bt *boundedTableau, xs, duals []float64, res *Result) {
-	x := sf.recover(xs)
-	res.X = x
+// solveNoRows is the closed form of a problem without rows: each column
+// rests at its upper bound when its cost is negative (unbounded when that
+// bound is +Inf), else at 0. It captures no basis and no reduced costs.
+func solveNoRows(p *Problem, n int, sf *standardForm, tol float64, sc *Scratch) *Result {
+	xs := sc.take(sf.nCols)
+	for j, cj := range sf.c {
+		if cj < -tol {
+			if math.IsInf(sf.colUB[j], 1) {
+				return &Result{Status: StatusUnbounded}
+			}
+			xs[j] = sf.colUB[j]
+		}
+	}
+	res := &Result{Status: StatusOptimal, X: sf.recover(xs), IneqDuals: []float64{}}
 	for j := 0; j < n; j++ {
-		res.Obj += p.C[j] * x[j]
+		res.Obj += p.C[j] * res.X[j]
 	}
-	// Map standard-form row duals back to the caller's inequality rows: the
-	// inequality block starts right after the equalities.
-	res.IneqDuals = make([]float64, len(p.Aub))
-	for i := range p.Aub {
-		res.IneqDuals[i] = duals[len(p.Aeq)+i]
-	}
-	if bt == nil {
-		return
-	}
-	if opt.CaptureBasis {
-		res.Basis = captureBasis(bt)
-	}
-	if opt.WantReducedCosts {
-		res.ReducedCosts = reducedCosts(bt, sf, n, tol)
-	}
+	return res
 }
 
 func validate(p *Problem, n int) error {
@@ -480,7 +440,7 @@ type standardForm struct {
 	// seed the Phase-I basis directly, avoiding an artificial variable.
 	slackCol []int
 	// colUB[j] is column j's native upper bound (+Inf when absent); the
-	// bounded-variable engine honors it without materializing a row.
+	// kernel honors it without materializing a row.
 	colUB []float64
 	// recovery data: original variable j maps to
 	//   x[j] = shift[j] + sign[j]·xs[pos[j]] - (xs[neg[j]] if neg[j] >= 0)
@@ -509,9 +469,25 @@ func (s *standardForm) recover(xs []float64) []float64 {
 //   - lb = -Inf, finite ub: substitute x = ub − x′, x′ ≥ 0
 //   - free variable: split x = x⁺ − x⁻
 //   - both bounds finite: shift by lb; the residual upper bound ub − lb is
-//     kept native in colUB for the bounded engine
+//     kept native in colUB
 //   - each ≤ row gains a slack variable
-func toStandardForm(p *Problem, n int, sc *Scratch) (*standardForm, error) {
+//
+// It begins the solve's scratch reservation, sized for its own takes plus
+// the solution vector the solve ends with.
+func toStandardForm(p *Problem, n int, sc *Scratch) *standardForm {
+	nStructPre := 0
+	for j := 0; j < n; j++ {
+		lb, ub := boundsAt(p, j)
+		if math.IsInf(lb, -1) && math.IsInf(ub, 1) {
+			nStructPre += 2 // free variables split into x⁺ − x⁻
+		} else {
+			nStructPre++
+		}
+	}
+	nColsPre := nStructPre + len(p.Aub)
+	m := len(p.Aeq) + len(p.Aub)
+	// shift, sign; colUB, c and the solution; b; the rows.
+	sc.reserve(2*n + 3*nColsPre + m + m*nColsPre)
 	sf := &standardForm{
 		shift: sc.take(n),
 		pos:   make([]int, n),
@@ -520,17 +496,8 @@ func toStandardForm(p *Problem, n int, sc *Scratch) (*standardForm, error) {
 	// sign[j] is +1 when x = shift + x′ and −1 when x = shift − x′.
 	sign := sc.take(n)
 	sf.sign = sign
-	nStructPre := 0
-	for j := 0; j < n; j++ {
-		lb, ub := boundsAt(p, j)
-		if math.IsInf(lb, -1) && math.IsInf(ub, 1) {
-			nStructPre += 2
-		} else {
-			nStructPre++
-		}
-	}
 	col := 0
-	colUB := sc.take(nStructPre + len(p.Aub))[:0]
+	colUB := sc.take(nColsPre)[:0]
 	for j := 0; j < n; j++ {
 		lb, ub := boundsAt(p, j)
 		switch {
@@ -564,7 +531,6 @@ func toStandardForm(p *Problem, n int, sc *Scratch) (*standardForm, error) {
 		colUB = append(colUB, math.Inf(1))
 	}
 	sf.colUB = colUB
-	m := len(p.Aeq) + len(p.Aub)
 	sf.a = make([][]float64, m)
 	sf.b = sc.take(m)
 	sf.c = sc.take(sf.nCols)
@@ -614,9 +580,11 @@ func toStandardForm(p *Problem, n int, sc *Scratch) (*standardForm, error) {
 		emit(r, p.Bub[i], slack)
 		slack++
 	}
-	// Normalize: standard form needs b ≥ 0 for the Phase-I construction.
-	// Negating a row flips its slack coefficient to −1, which disqualifies
-	// the slack from seeding the basis.
+	// Normalize to b ≥ 0. The kernel's sign-matched artificials do not need
+	// it, but it gives a second encoding of the rows for the Form path to
+	// retry on after a numerical failure (and the dense reference solver of
+	// the tests needs it). Negating a row flips its slack coefficient to −1,
+	// which disqualifies the slack from seeding the basis.
 	for i := range sf.a {
 		if sf.b[i] < 0 {
 			sf.b[i] = -sf.b[i]
@@ -626,7 +594,7 @@ func toStandardForm(p *Problem, n int, sc *Scratch) (*standardForm, error) {
 			sf.slackCol[i] = -1
 		}
 	}
-	return sf, nil
+	return sf
 }
 
 func maxAbs(v []float64) float64 {

@@ -4,7 +4,7 @@ import "math"
 
 // Sparse revised simplex engine.
 //
-// Unlike the dense tableau in bounded.go, nothing here materializes B⁻¹A:
+// Unlike a dense tableau, nothing here materializes B⁻¹A:
 // the constraint matrix stays in CSC form, the basis lives as an LU
 // factorization with product-form eta updates (factor.go), and each iteration
 // does two triangular solves (BTRAN for pricing, FTRAN for the entering
@@ -17,30 +17,13 @@ import "math"
 // The engine adds a dual simplex path (dualRepair) for warm re-entry: after a
 // branch & bound bound tightening the parent basis is dual feasible and
 // primal infeasible, the textbook dual-simplex entry state, and a handful of
-// dual pivots restores feasibility where the dense path's crash-and-repair
-// either spent O(m·n) per pivot or fell back to a full cold solve.
+// dual pivots restores feasibility without a full cold solve.
 //
 // Determinism: every selection rule (Dantzig pricing with smallest-index
 // ties, Bland's rule after a degenerate stall, most-violated-row dual
 // selection with smallest-index ties, the fixed refactorEvery trigger) is a
 // pure function of the input bits, so solves are bit-identical across runs
 // and worker counts — the repo-wide contract.
-
-// Engine selects the simplex kernel.
-type Engine int
-
-const (
-	// EngineRevised is the default sparse revised simplex: CSC constraint
-	// matrix, LU basis factorization with eta-file updates, dual-simplex warm
-	// re-entry. It falls back to the dense kernel only on numerical failure
-	// (singular basis factorization), which is itself a deterministic
-	// function of the input.
-	EngineRevised Engine = iota
-	// EngineDense is the legacy dense tableau kernel, kept as the
-	// differential oracle of the engine equivalence tests and as the
-	// revised engine's singular-basis fallback.
-	EngineDense
-)
 
 // revised-engine tolerances: dualProofTol gates when a dual dead-end is
 // trusted as an infeasibility certificate (the reduced costs must be dual
@@ -60,7 +43,7 @@ const (
 
 // revEngine is the reusable revised-simplex state. One lives lazily inside
 // each Scratch, so the eta file, LU storage, and work vectors follow the same
-// amortization discipline as the dense tableau arena; results never alias it.
+// amortization discipline as the float arena; results never alias it.
 type revEngine struct {
 	f basisFactor
 
@@ -271,8 +254,7 @@ func (e *revEngine) pivot(r, q int, entVal float64, leaveToUpper bool) bool {
 // unboundedness, or the iteration budget. Entering candidates are the
 // structural+slack columns only (artificials may leave but never re-enter).
 // Dantzig pricing with smallest-index ties; Bland's rule after a degenerate
-// stall, mirroring the dense engine's anti-cycling. The bool result is false
-// on numerical failure (the caller must fall back to the dense oracle).
+// stall. The bool result is false on numerical failure.
 func (e *revEngine) primal(tol float64, maxIter int) (int, Status, bool) {
 	m, n := e.m, e.nCols
 	degenerate, bland := 0, false
@@ -589,8 +571,8 @@ func (e *revEngine) dualFeasibleFresh() bool {
 	return true
 }
 
-// feasible is the paranoid exit scan shared with the dense warm path: every
-// basic value must sit inside its bounds within the rhs-scaled tolerance.
+// feasible is the paranoid exit scan: every basic value must sit inside its
+// bounds within the rhs-scaled tolerance.
 func (e *revEngine) feasible(feasTol float64) bool {
 	for i := 0; i < e.m; i++ {
 		v := e.xB[i]
@@ -604,8 +586,8 @@ func (e *revEngine) feasible(feasTol float64) bool {
 	return true
 }
 
-// captureBasis snapshots the basis in the shared combinatorial format (nil
-// when an artificial is still basic, mirroring the dense capture). On the
+// captureBasis snapshots the basis in its combinatorial format (nil when an
+// artificial is still basic: such a basis cannot seed a warm start). On the
 // Form path the Basis object and its slices come from the per-tree arena
 // (recycled by Scratch.BeginTree); elsewhere they are freshly allocated, so
 // long-lived captures outside a tree discipline stay safe.
@@ -644,10 +626,10 @@ func (e *revEngine) captureBasis() *Basis {
 }
 
 // reducedCosts maps the exit reduced costs back to the original variables
-// with the same semantics as the dense reducedCosts: rc > 0 ⇒ resting at the
-// lower bound, rc < 0 ⇒ resting at the upper bound, 0 ⇒ no information. In
-// natural (unflipped) coordinates the substituted-column reduced cost equals
-// d_j in both resting cases, so the mapping is just the sign factor.
+// with the semantics of Result.ReducedCosts: rc > 0 ⇒ resting at the lower
+// bound, rc < 0 ⇒ resting at the upper bound, 0 ⇒ no information. In
+// natural (unflipped) coordinates the reduced cost is d_j in both resting
+// cases, so the mapping is just the sign factor.
 func (e *revEngine) reducedCosts(sf *standardForm, n int, tol float64) []float64 {
 	rc := make([]float64, n)
 	for j := 0; j < n; j++ {
@@ -672,7 +654,7 @@ func (e *revEngine) reducedCosts(sf *standardForm, n int, tol float64) []float64
 }
 
 // finishRev recovers the original-variable solution, objective, duals, and
-// optional captures from the engine state — the revised twin of finish().
+// optional captures from the engine state.
 // Requires the reduced costs in e.d to be current (primal's optimal exit
 // guarantees this).
 func (e *revEngine) finishRev(p *Problem, n int, opt Options, tol float64, sf *standardForm, sc *Scratch, res *Result) {
@@ -744,12 +726,11 @@ func (e *revEngine) attachFactors(b *Basis, opt Options) {
 	b.snap = e.f.snapshot(e.csc, e.takeSnapSlot())
 }
 
-// revSolveCold is the revised-engine cold path: two-phase primal simplex with
-// sign-matched artificials. Unlike the dense path it does not require b ≥ 0 —
-// rows whose slack cannot seed the basis (missing, negated, or negative rhs)
-// get an artificial whose coefficient matches the rhs sign, so the Form's
-// unnormalized compiled rows solve directly. The bool result is false on
-// numerical failure; the caller must then run the dense oracle. csc may be
+// revSolveCold is the cold path: two-phase primal simplex with sign-matched
+// artificials. It does not require b ≥ 0 — rows whose slack cannot seed the
+// basis (missing, negated, or negative rhs) get an artificial whose
+// coefficient matches the rhs sign, so the Form's unnormalized compiled rows
+// solve directly. The bool result is false on numerical failure. csc may be
 // nil (compressed from sf.a).
 func revSolveCold(p *Problem, n int, sf *standardForm, csc *cscMatrix, opt Options, tol float64, sc *Scratch, maxIter int) (*Result, bool) {
 	m := len(sf.a)
@@ -921,7 +902,6 @@ func revWarmAttempt(p *Problem, n int, sf *standardForm, csc *cscMatrix, opt Opt
 	}
 	pivots, outcome := e.dualRepair(tol, maxIter, opt.PreferDual)
 	res.DualPivots = pivots
-	res.RepairPivots = pivots
 	res.Refactorizations = e.refactors
 	res.EtaLen = e.etaTotal
 	switch outcome {

@@ -187,11 +187,12 @@ func TestFactorLUEtaAgainstExplicitInverse(t *testing.T) {
 	}
 }
 
-// TestQuickRevisedMatchesDense is the engine A/B differential: on random
-// boxed instances (with occasional equality rows) the revised and dense
-// engines must agree on status, and at optimality on the objective, with the
-// revised engine's point feasible for the original problem. Pivot
-// trajectories legitimately differ, so X is only checked for feasibility.
+// TestQuickRevisedMatchesDense is the engine differential: on random boxed
+// instances (with occasional equality rows) the revised engine and the dense
+// tableau reference (solveDense, dense_test.go) must agree on status, and at
+// optimality on the objective, with the revised engine's point feasible for
+// the original problem. Pivot trajectories legitimately differ, so X is only
+// checked for feasibility.
 func TestQuickRevisedMatchesDense(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -206,7 +207,7 @@ func TestQuickRevisedMatchesDense(t *testing.T) {
 			p.Aub, p.Bub = p.Aub[:last], p.Bub[:last]
 		}
 		rev, err1 := SolveOpts(p, Options{})
-		den, err2 := SolveOpts(p, Options{Engine: EngineDense})
+		den, err2 := solveDense(p, Options{})
 		if err1 != nil || err2 != nil {
 			return false
 		}

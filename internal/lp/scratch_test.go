@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 )
 
 // randomLP draws a seeded bounded LP; nonnegative rows with nonnegative
@@ -82,5 +83,92 @@ func TestSolveScratchResultsDoNotAlias(t *testing.T) {
 	if !reflect.DeepEqual(first.X, snapX) || !reflect.DeepEqual(first.IneqDuals, snapD) {
 		t.Fatalf("first result mutated by later scratch reuse:\nX    %v want %v\nduals %v want %v",
 			first.X, snapX, first.IneqDuals, snapD)
+	}
+}
+
+// boxOf returns p's bounds as explicit slices, the form Form.SolveWarm takes.
+func boxOf(p *Problem) (lb, ub []float64) {
+	lb, ub = make([]float64, len(p.C)), make([]float64, len(p.C))
+	for j := range p.C {
+		lb[j], ub[j] = boundsAt(p, j)
+	}
+	return lb, ub
+}
+
+// TestScratchReservationCoversSolve pins the arena sizing: no take of a solve
+// may fall back to the heap. Every solve gets a fresh Scratch, so slack left
+// by an earlier, larger reservation cannot hide an undersized one. It covers
+// the instance families of the quick checks, cold and warm, on the Problem
+// path and the Form path.
+func TestScratchReservationCoversSolve(t *testing.T) {
+	families := []struct {
+		name string
+		gen  func(*rand.Rand) *Problem
+	}{
+		{"box", func(rng *rand.Rand) *Problem { return randomBoxLP(rng, 2+rng.Intn(8), 1+rng.Intn(6)) }},
+		{"box-eq", func(rng *rand.Rand) *Problem {
+			p := randomBoxLP(rng, 2+rng.Intn(8), 2+rng.Intn(5))
+			last := len(p.Aub) - 1
+			p.Aeq, p.Beq = [][]float64{p.Aub[last]}, []float64{p.Bub[last]}
+			p.Aub, p.Bub = p.Aub[:last], p.Bub[:last]
+			return p
+		}},
+		{"lp", randomLP},
+		{"mixed-bounds", mixedBoundsLP},
+		{"no-rows", randomNoRowsLP},
+	}
+	capture := Options{CaptureBasis: true, WantReducedCosts: true}
+	warmOpt := Options{CaptureBasis: true, PreferDual: true}
+	for _, fam := range families {
+		t.Run(fam.name, func(t *testing.T) {
+			warmHits := 0
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				p := fam.gen(rng)
+				child := p
+				if fam.name == "box" {
+					child = tightenLikeBranch(rng, p)
+				}
+				lb, ub := boxOf(p)
+				clb, cub := boxOf(child)
+				form, err := NewForm(p)
+				if err != nil {
+					return false
+				}
+				var solves []*Scratch
+				solve := func(run func(sc *Scratch) (*Result, error)) *Result {
+					sc := NewScratch()
+					solves = append(solves, sc)
+					res, err := run(sc)
+					if err != nil {
+						t.Fatalf("seed %d: %v", seed, err)
+					}
+					if res.Warm {
+						warmHits++
+					}
+					return res
+				}
+				root := solve(func(sc *Scratch) (*Result, error) { return SolveScratch(p, capture, sc) })
+				if root.Basis != nil {
+					solve(func(sc *Scratch) (*Result, error) { return SolveWarm(child, warmOpt, sc, root.Basis) })
+				}
+				froot := solve(func(sc *Scratch) (*Result, error) { return form.SolveWarm(lb, ub, capture, sc, nil) })
+				if froot.Basis != nil {
+					solve(func(sc *Scratch) (*Result, error) { return form.SolveWarm(clb, cub, warmOpt, sc, froot.Basis) })
+				}
+				for _, sc := range solves {
+					if sc.spills != 0 {
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+				t.Fatal(err)
+			}
+			if fam.name != "no-rows" && warmHits == 0 {
+				t.Fatal("no solve re-entered warm; the warm reservations went unchecked")
+			}
+		})
 	}
 }

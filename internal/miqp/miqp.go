@@ -221,10 +221,6 @@ type Options struct {
 	// DisablePresolve skips the pre-root bound-implication pass and the
 	// root reduced-cost bound tightening.
 	DisablePresolve bool
-	// DenseEngine forces every LP relaxation onto the legacy dense tableau
-	// kernel instead of the default sparse revised simplex. It exists as the
-	// differential oracle the equivalence tests solve against.
-	DenseEngine bool
 	// NoFactorReuse forwards lp.Options.NoFactorReuse: warm re-entries always
 	// refactorize instead of loading the parent basis's captured LU. Reference
 	// path for the equivalence tests — solutions and node/pivot counts are
@@ -520,7 +516,7 @@ func SolveOpts(p *Problem, opt Options) (*Result, error) {
 			// state the revised engine's PreferDual contract needs.
 			var err error
 			relaxes[i], err = solveRelaxation(pp, form, nd.lb, nd.ub, scratches[w], warm, warmOK,
-				rootRC && nd.depth == 0, opt.DenseEngine, warm != nil, opt.NoFactorReuse)
+				rootRC && nd.depth == 0, warm != nil, opt.NoFactorReuse)
 			return err
 		}); err != nil {
 			return nil, err
@@ -762,14 +758,10 @@ type relaxResult struct {
 // the calling worker's LP scratch; concurrent callers must pass distinct
 // scratches. warm, when non-nil, is the parent basis to re-enter from;
 // capture asks for the optimal basis (for this node's children); wantRC asks
-// for reduced costs (root tightening). dense forces the dense tableau kernel;
-// preferDual asserts warm is dual feasible here (bounds-only change),
-// enabling the revised engine's dual re-entry.
-func solveRelaxation(p *Problem, form *lp.Form, lb, ub []float64, sc *lp.Scratch, warm *lp.Basis, capture, wantRC, dense, preferDual, noReuse bool) (relaxResult, error) {
+// for reduced costs (root tightening); preferDual asserts warm is dual
+// feasible here (bounds-only change), enabling the dual re-entry.
+func solveRelaxation(p *Problem, form *lp.Form, lb, ub []float64, sc *lp.Scratch, warm *lp.Basis, capture, wantRC, preferDual, noReuse bool) (relaxResult, error) {
 	lpOpt := lp.Options{CaptureBasis: capture, WantReducedCosts: wantRC, AssumeValid: true, PreferDual: preferDual, NoFactorReuse: noReuse}
-	if dense {
-		lpOpt.Engine = lp.EngineDense
-	}
 	var res *lp.Result
 	var err error
 	if form != nil {

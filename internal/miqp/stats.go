@@ -22,21 +22,19 @@ type Stats struct {
 	// Pivots is the total simplex pivot work across all relaxations (crash +
 	// repair + main-loop iterations); the quantity warm starting exists to cut.
 	Pivots int `json:"pivots"`
-	// Revised-engine observability. DualReentries counts warm re-entries that
+	// LP kernel observability. DualReentries counts warm re-entries that
 	// resolved through the dual simplex under the bounds-only-change
 	// guarantee (including certified-infeasible children); DualPivots their
 	// dual pivot work (a subset of Pivots); Refactorizations the basis LU
 	// rebuilds (the deterministic eta-file trigger plus one per factorized
-	// solve); EtaLength the total eta-file updates appended. All zero under
-	// Options.DenseEngine.
+	// solve); EtaLength the total eta-file updates appended.
 	DualReentries    int `json:"dual_reentries"`
 	DualPivots       int `json:"dual_pivots"`
 	Refactorizations int `json:"refactorizations"`
 	EtaLength        int `json:"eta_length"`
 	// FactorReuses counts warm re-entries that loaded the parent basis's
-	// captured LU factorization instead of refactorizing (the PR10 handoff;
-	// bit-identical numerics, so only work accounting — zero under
-	// Options.NoFactorReuse or DenseEngine).
+	// captured LU factorization instead of refactorizing (bit-identical
+	// numerics, so only work accounting — zero under Options.NoFactorReuse).
 	FactorReuses int `json:"factor_reuses"`
 	// PresolveFixedVars / PresolveTightenedBounds / PresolveRemovedRows count
 	// the pre-root reductions; RootCutBounds counts reduced-cost bound

@@ -70,8 +70,6 @@ func TestSolveOptsWorkerCountInvariantEngineConfigs(t *testing.T) {
 		{"warm-off", Options{DisableWarmStart: true}},
 		{"presolve-off", Options{DisablePresolve: true}},
 		{"cold", coldOptions()},
-		{"dense", Options{DenseEngine: true}},
-		{"dense-cold", Options{DenseEngine: true, DisableWarmStart: true, DisablePresolve: true}},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -96,52 +94,6 @@ func TestSolveOptsWorkerCountInvariantEngineConfigs(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestDenseVsRevisedEngineEquivalence is the A/B oracle contract for the
-// sparse revised simplex: on every instance the default engine and the
-// DenseEngine solve must reach the same status, the same certified objective,
-// and the same integer assignment. The engines pivot differently, so
-// continuous variables may land on different optimal vertices — the integer
-// part and the objective are what branch & bound certifies. Dense runs must
-// also report no revised-engine activity.
-func TestDenseVsRevisedEngineEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	dualUsed := 0
-	for i := 0; i < 60; i++ {
-		p := randomMILP(rng)
-		rev, err := SolveOpts(p, Options{})
-		if err != nil {
-			t.Fatalf("instance %d revised: %v", i, err)
-		}
-		den, err := SolveOpts(p, Options{DenseEngine: true})
-		if err != nil {
-			t.Fatalf("instance %d dense: %v", i, err)
-		}
-		if rev.Status != den.Status {
-			t.Fatalf("instance %d: status revised=%v dense=%v", i, rev.Status, den.Status)
-		}
-		if den.Stats.DualReentries != 0 || den.Stats.Refactorizations != 0 || den.Stats.EtaLength != 0 {
-			t.Fatalf("instance %d: dense engine reported revised counters %+v", i, den.Stats)
-		}
-		dualUsed += rev.Stats.DualReentries
-		if rev.Status != StatusOptimal {
-			continue
-		}
-		if math.Abs(rev.Obj-den.Obj) > 1e-9*(1+math.Abs(den.Obj)) {
-			t.Fatalf("instance %d: objective revised=%.12g dense=%.12g", i, rev.Obj, den.Obj)
-		}
-		for j := range p.C {
-			if p.Integer != nil && p.Integer[j] &&
-				math.Round(rev.X[j]) != math.Round(den.X[j]) {
-				t.Fatalf("instance %d: integer var %d revised=%g dense=%g",
-					i, j, rev.X[j], den.X[j])
-			}
-		}
-	}
-	if dualUsed == 0 {
-		t.Fatal("no instance exercised dual re-entry; the revised side of the differential is vacuous")
 	}
 }
 

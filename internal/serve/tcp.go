@@ -2,10 +2,11 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
+
+	"repro/internal/connset"
 )
 
 // wireDecision is the JSON-lines response: one object per request object
@@ -30,10 +31,8 @@ type Frontend struct {
 	now  func() int64
 	ln   net.Listener
 
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	conns *connset.Set // the listener and every live conn
+	wg    sync.WaitGroup
 }
 
 // NewFrontend listens on addr ("host:port", empty port for ephemeral) and
@@ -47,7 +46,7 @@ func NewFrontend(loop *Loop, addr string, nowNS func() int64) (*Frontend, error)
 	if err != nil {
 		return nil, fmt.Errorf("serve: listen %s: %w", addr, err)
 	}
-	f := &Frontend{loop: loop, now: nowNS, ln: ln, conns: map[net.Conn]struct{}{}}
+	f := &Frontend{loop: loop, now: nowNS, ln: ln, conns: connset.New(ln)}
 	f.wg.Add(1)
 	go f.acceptLoop()
 	return f, nil
@@ -63,7 +62,7 @@ func (f *Frontend) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		if !f.track(c) {
+		if !f.conns.Track(c) {
 			c.Close()
 			return
 		}
@@ -74,7 +73,7 @@ func (f *Frontend) acceptLoop() {
 
 func (f *Frontend) serveConn(c net.Conn) {
 	defer f.wg.Done()
-	defer f.untrack(c)
+	defer f.conns.Untrack(c)
 	defer c.Close()
 	dec := json.NewDecoder(c)
 	enc := json.NewEncoder(c)
@@ -98,39 +97,11 @@ func (f *Frontend) serveConn(c net.Conn) {
 	}
 }
 
-// track registers a live conn; false once Close has begun (the conn must
-// not be served — Close already snapshotted the set it will sever).
-func (f *Frontend) track(c net.Conn) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return false
-	}
-	f.conns[c] = struct{}{}
-	return true
-}
-
-func (f *Frontend) untrack(c net.Conn) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.conns, c)
-}
-
 // Close stops accepting, severs every live connection (unblocking their
 // reads), and waits for all handler goroutines to exit. Idempotent and
 // safe to call concurrently.
 func (f *Frontend) Close() error {
-	f.mu.Lock()
-	already := f.closed
-	f.closed = true
-	err := f.ln.Close()
-	for c := range f.conns {
-		c.Close()
-	}
-	f.mu.Unlock()
+	err := f.conns.Close()
 	f.wg.Wait()
-	if already || err == nil || errors.Is(err, net.ErrClosed) {
-		return nil
-	}
 	return err
 }

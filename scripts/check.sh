@@ -226,12 +226,14 @@ echo "== go test -race $short ./..."
 go test -race $short -timeout 45m ./...
 
 # The race pass runs each test once at the host's CPU count; protocol
-# shutdown races (edgenet, serve TCP) and pool scheduling only show up under
-# other core counts and repeated runs, so the full gate repeats the
-# concurrency-bearing packages at -cpu 1,2,4.
+# shutdown races (edgenet, serve TCP, connset), pool scheduling and the
+# solvers' worker-count invariance only show up under other core counts and
+# repeated runs, so the full gate repeats the concurrency-bearing packages
+# at -cpu 1,2,4.
 if [[ -z "$short" ]]; then
-	echo "== go test -count=3 -cpu 1,2,4 (edgenet, serve, par)"
-	go test -count=3 -cpu 1,2,4 ./internal/edgenet ./internal/serve ./internal/par
+	echo "== go test -count=3 -cpu 1,2,4 (edgenet, serve, connset, par, core, miqp, lp)"
+	go test -count=3 -cpu 1,2,4 ./internal/edgenet ./internal/serve ./internal/connset \
+		./internal/par ./internal/core ./internal/miqp ./internal/lp
 fi
 
 serve_smoke
