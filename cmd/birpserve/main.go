@@ -32,7 +32,10 @@ import (
 )
 
 // serveOutput is the machine-readable counters summary (-json). All
-// staleness figures are virtual-clock milliseconds; WallSeconds and
+// staleness figures are virtual-clock milliseconds. The stale percentiles
+// come from metrics.ServeStats' fixed histogram: each is the upper edge of
+// the bucket holding the nearest-rank sample, never below the exact value
+// and less than 1/64 above it; StaleMaxMS is exact. WallSeconds and
 // AdmittedPerSec are wall-clock pipeline throughput, reported for bench
 // trending only — no decision depends on them.
 type serveOutput struct {

@@ -5,8 +5,9 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/accel"
 	"repro/internal/mat"
@@ -39,13 +40,31 @@ type Cluster struct {
 	// exactly the per-slot budgets they would draw in the parent fleet;
 	// nil means the identity mapping.
 	bwIndex []int
-	// bw caches realized BandwidthMBAt draws per (t, k): seeding a fresh
-	// math/rand source for every query is ~100× the cost of the single
-	// uniform it produces, and the schedulers re-query the same slot's
-	// budget many times (redistribution, per-edge ship budgets, preloads,
-	// plan validation). Values are pure functions of (seed, t, k), so the
-	// cache is transparent and safe for concurrent readers.
-	bw sync.Map // [2]int{t, k} -> float64
+	// bw caches realized BandwidthMBAt draws for the bwRingSlots most
+	// recent slots: seeding a fresh math/rand source for every query is
+	// ~100× the cost of the single uniform it produces, and the schedulers
+	// re-query the same slot's budget many times (redistribution, per-edge
+	// ship budgets, preloads, plan validation). Slot t lives in ring cell
+	// t mod bwRingSlots until a slot mapping to the same cell replaces it,
+	// so a long-running server holds a fixed number of slots however many
+	// it has planned. Values are pure functions of (seed, t, k), so the
+	// cache is transparent, and a lost race only repeats a draw.
+	bw [bwRingSlots]atomic.Pointer[bwSlot]
+}
+
+// bwRingSlots is the number of slots the bandwidth-draw cache keeps. Every
+// caller works on one slot at a time (a scheduler's Decide, the
+// simulator's validation, a serve replan), so a handful would do; the
+// margin keeps concurrent runs on slots less than bwRingSlots apart from
+// evicting each other.
+const bwRingSlots = 64
+
+// bwSlot holds one slot's draws, one word per edge: the float64 bits of
+// the budget in MB, or 0 while edge k has not been drawn. Words are read
+// and written atomically, so concurrent readers never lock.
+type bwSlot struct {
+	t  int
+	mb []atomic.Uint64
 }
 
 // Option mutates cluster construction.
@@ -149,10 +168,31 @@ func (c *Cluster) N() int { return len(c.Edges) }
 // BandwidthMBAt returns the Eq. 9 network budget N^t_k for edge k in slot t,
 // in megabytes per slot. It is deterministic in (seed, t, k).
 func (c *Cluster) BandwidthMBAt(t, k int) float64 {
-	key := [2]int{t, k}
-	if v, ok := c.bw.Load(key); ok {
-		return v.(float64)
+	cell := &c.bw[uint(t)%bwRingSlots]
+	slot := cell.Load()
+	if slot != nil && slot.t == t && k < len(slot.mb) {
+		if bits := slot.mb[k].Load(); bits != 0 {
+			return math.Float64frombits(bits)
+		}
 	}
+	mb := c.drawBandwidthMB(t, k)
+	if slot == nil || slot.t != t {
+		// Install slot t (evicting the cell's older slot); when another
+		// caller installed a slot first, fill in whichever one won.
+		cell.CompareAndSwap(slot, &bwSlot{t: t, mb: make([]atomic.Uint64, len(c.Edges))})
+		if slot = cell.Load(); slot.t != t {
+			return mb
+		}
+	}
+	if k < len(slot.mb) {
+		slot.mb[k].Store(math.Float64bits(mb))
+	}
+	return mb
+}
+
+// drawBandwidthMB realizes N^t_k from a math/rand source seeded by
+// (seed, t, parent edge index).
+func (c *Cluster) drawBandwidthMB(t, k int) float64 {
 	e := c.Edges[k]
 	bk := k
 	if c.bwIndex != nil {
@@ -160,9 +200,7 @@ func (c *Cluster) BandwidthMBAt(t, k int) float64 {
 	}
 	rng := rand.New(rand.NewSource(c.seed ^ int64(t)*1000003 ^ int64(bk)*10007))
 	mbps := e.BandwidthLoMbps + rng.Float64()*(e.BandwidthHiMbps-e.BandwidthLoMbps)
-	mb := mbps * c.SlotSeconds / 8
-	c.bw.Store(key, mb)
-	return mb
+	return mbps * c.SlotSeconds / 8
 }
 
 // Sub returns a restricted view of the cluster containing the given edges, in

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/accel"
@@ -92,6 +93,104 @@ func TestValidateCatchesMistakes(t *testing.T) {
 	for i, c := range cases {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
+		}
+	}
+}
+
+// TestBandwidthDrawsArePinned: the cache must not change the realized
+// budgets — these are the math/rand draws every recorded plan was made
+// against.
+func TestBandwidthDrawsArePinned(t *testing.T) {
+	c := Default(WithSeed(1))
+	for _, tc := range []struct {
+		t, k int
+		mb   float64
+	}{{0, 0, 100.29126799872621}, {7, 3, 66.64674413803192}, {12345, 5, 87.2362068964519}} {
+		for rep := 0; rep < 2; rep++ { // miss, then hit
+			if got := c.BandwidthMBAt(tc.t, tc.k); got != tc.mb {
+				t.Fatalf("slot %d edge %d: %v MB, want %v", tc.t, tc.k, got, tc.mb)
+			}
+		}
+	}
+	sub, err := c.Sub([]int{5, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sub.BandwidthMBAt(12345, 0); got != 87.2362068964519 {
+		t.Fatalf("sub view of edge 5: %v MB, want the parent's draw", got)
+	}
+}
+
+// TestBandwidthCacheEvictsAndRedraws: values equal a fresh draw on first
+// use, on a cache hit, and again after their slot has been evicted.
+func TestBandwidthCacheEvictsAndRedraws(t *testing.T) {
+	c := Default(WithSeed(3))
+	check := func(slot int) {
+		t.Helper()
+		for k := 0; k < c.N(); k++ {
+			if got, want := c.BandwidthMBAt(slot, k), c.drawBandwidthMB(slot, k); got != want {
+				t.Fatalf("slot %d edge %d: %v MB, fresh draw %v", slot, k, got, want)
+			}
+		}
+	}
+	for slot := -3; slot < 3*bwRingSlots; slot++ {
+		check(slot)
+		check(slot)
+	}
+	for slot := -3; slot < 3*bwRingSlots; slot++ { // every early slot was evicted
+		check(slot)
+	}
+}
+
+// TestBandwidthCacheIsBounded: after 10k distinct slots the cache holds
+// only the most recent bwRingSlots of them, and a hit allocates nothing.
+func TestBandwidthCacheIsBounded(t *testing.T) {
+	c := Default(WithSeed(1))
+	const slots = 10_000
+	for slot := 0; slot < slots; slot++ {
+		c.BandwidthMBAt(slot, slot%c.N())
+	}
+	for i := range c.bw {
+		s := c.bw[i].Load()
+		if s == nil || s.t < slots-bwRingSlots || len(s.mb) != c.N() {
+			t.Fatalf("ring cell %d holds %+v; want one of the last %d slots", i, s, bwRingSlots)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.BandwidthMBAt(slots-1, 2) }); allocs != 0 {
+		t.Fatalf("a cache hit allocated %v times", allocs)
+	}
+}
+
+// TestBandwidthCacheConcurrentReaders: readers racing over overlapping
+// slots — installing, filling and evicting ring cells under each other —
+// all see the fresh draws. Run under -race by the full gate.
+func TestBandwidthCacheConcurrentReaders(t *testing.T) {
+	c := Default(WithSeed(11))
+	const span = 3 * bwRingSlots
+	want := make([][]float64, span)
+	for slot := range want {
+		for k := 0; k < c.N(); k++ {
+			want[slot] = append(want[slot], c.drawBandwidthMB(slot, k))
+		}
+	}
+	const readers = 4
+	errs := make(chan string, readers)
+	for r := 0; r < readers; r++ {
+		go func(r int) {
+			for i := 0; i < 4*span; i++ {
+				slot := (i*(r+1) + r*17) % span
+				k := (i + r) % c.N()
+				if got := c.BandwidthMBAt(slot, k); got != want[slot][k] {
+					errs <- fmt.Sprintf("reader %d slot %d edge %d: %v MB, want %v", r, slot, k, got, want[slot][k])
+					return
+				}
+			}
+			errs <- ""
+		}(r)
+	}
+	for r := 0; r < readers; r++ {
+		if msg := <-errs; msg != "" {
+			t.Fatal(msg)
 		}
 	}
 }

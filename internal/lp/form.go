@@ -242,7 +242,13 @@ func (f *Form) instantiate(lb, ub []float64, sc *Scratch) (*standardForm, bool) 
 	shift := sc.takeNoZero(n)
 	colUB := sc.takeNoZero(nCols)
 	for j := 0; j < n; j++ {
-		lbj, ubj := lb[j], ub[j]
+		lbj, ubj := 0.0, math.Inf(1) // nil bounds mean [0, +Inf), as in boundsAt
+		if lb != nil {
+			lbj = lb[j]
+		}
+		if ub != nil {
+			ubj = ub[j]
+		}
 		if patternOf(lbj, ubj) != f.pattern[j] {
 			return nil, false
 		}

@@ -161,3 +161,62 @@ func TestNewFormRejectsMalformed(t *testing.T) {
 		t.Fatal("ragged row accepted")
 	}
 }
+
+// TestFormNilBoundsMeanDefault: nil lb/ub passed to Form.SolveWarm mean the
+// default box [0, +Inf) for every variable, as the package-level SolveWarm
+// reads a Problem with nil Lb/Ub. Cold, the two must agree field for field;
+// warm, the nil-bound re-entry must equal the explicit-default one and
+// certify the package-level optimum.
+func TestFormNilBoundsMeanDefault(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	sc1, sc2 := NewScratch(), NewScratch()
+	one := &Problem{C: []float64{-1}, Aub: [][]float64{{2}}, Bub: []float64{3}}
+	for i := 0; i < 40; i++ {
+		p := one
+		if i > 0 {
+			p = randomLP(rng)
+			p.Lb, p.Ub = nil, nil // the rows bound every variable
+		}
+		f, err := NewForm(p)
+		if err != nil {
+			t.Fatalf("instance %d NewForm: %v", i, err)
+		}
+		want, err := SolveWarm(p, Options{}, sc1, nil)
+		if err != nil {
+			t.Fatalf("instance %d SolveWarm: %v", i, err)
+		}
+		got, err := f.SolveWarm(nil, nil, Options{}, sc2, nil)
+		if err != nil {
+			t.Fatalf("instance %d Form.SolveWarm(nil, nil): %v", i, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("instance %d: nil-bound form solve diverged:\npackage: %+v\nform:    %+v", i, want, got)
+		}
+		if want.Status != StatusOptimal {
+			continue
+		}
+		root, err := SolveWarm(p, Options{CaptureBasis: true}, sc1, nil)
+		if err != nil {
+			t.Fatalf("instance %d capture: %v", i, err)
+		}
+		n := len(p.C)
+		lb, ub := make([]float64, n), make([]float64, n)
+		for j := range ub {
+			ub[j] = math.Inf(1)
+		}
+		explicit, err := f.SolveWarm(lb, ub, Options{}, sc2, root.Basis)
+		if err != nil {
+			t.Fatalf("instance %d warm explicit bounds: %v", i, err)
+		}
+		warm, err := f.SolveWarm(nil, nil, Options{}, sc2, root.Basis)
+		if err != nil {
+			t.Fatalf("instance %d warm Form.SolveWarm(nil, nil): %v", i, err)
+		}
+		if !reflect.DeepEqual(explicit, warm) {
+			t.Fatalf("instance %d: nil-bound warm re-entry diverged:\nexplicit: %+v\nnil:      %+v", i, explicit, warm)
+		}
+		if warm.Status != StatusOptimal || math.Abs(warm.Obj-want.Obj) > 1e-9*(1+math.Abs(want.Obj)) {
+			t.Fatalf("instance %d: warm status %v obj %.12g, package %.12g", i, warm.Status, warm.Obj, want.Obj)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -37,7 +38,43 @@ type ServeStats struct {
 	// MaxStaleNS is the largest snapshot staleness observed at any decision.
 	MaxStaleNS int64 `json:"max_stale_ns"`
 
-	staleNS []int64 // per-decision staleness samples
+	// The staleness distribution lives in a fixed log-linear histogram, so
+	// recording a decision is O(1) and the stats hold the same memory after
+	// a billion decisions as after one.
+	staleN    int64               // decisions recorded
+	staleHist [staleBuckets]int64 // decisions per bucket (see staleBucket)
+}
+
+// Staleness histogram layout. Values below staleSub are counted exactly, one
+// bucket each. Above that, every power-of-two range [2^e, 2^(e+1)) is split
+// into staleSub equal sub-buckets, so a bucket is never wider than 1/staleSub
+// of its lower edge: reporting a bucket's upper edge overstates any sample in
+// it by less than 1/64 of the sample. With staleSub = 64 the ranges up to
+// [2^6, 2^7) have width-1 buckets, so every value below 128 ns is exact.
+// Every non-negative int64 fits in 58 × 64 = 3,712 buckets (29 KiB).
+const (
+	staleSubBits = 6
+	staleSub     = 1 << staleSubBits
+	staleBuckets = (64 - staleSubBits) * staleSub
+)
+
+// staleBucket maps a non-negative value to its histogram bucket.
+func staleBucket(v int64) int {
+	if v < staleSub {
+		return int(v)
+	}
+	shift := bits.Len64(uint64(v)) - 1 - staleSubBits
+	return shift*staleSub + int(v>>shift)
+}
+
+// staleBucketMax is the largest value staleBucket maps to bucket b.
+func staleBucketMax(b int) int64 {
+	if b < staleSub {
+		return int64(b)
+	}
+	shift := b/staleSub - 1
+	mant := uint64(b - shift*staleSub) // in [staleSub, 2·staleSub)
+	return int64((mant+1)<<shift - 1)
 }
 
 // NewServeStats sizes the per-edge counters for a K-edge cluster.
@@ -74,7 +111,8 @@ func (s *ServeStats) noteStale(ns int64) {
 	if ns > s.MaxStaleNS {
 		s.MaxStaleNS = ns
 	}
-	s.staleNS = append(s.staleNS, ns)
+	s.staleN++
+	s.staleHist[staleBucket(ns)]++
 }
 
 // NoteReplan records a snapshot swap.
@@ -98,23 +136,29 @@ func (s *ServeStats) RejectedTotal() int64 {
 func (s *ServeStats) Decisions() int64 { return s.Admitted + s.RejectedTotal() }
 
 // StaleQuantileNS returns the q-th nearest-rank quantile of the staleness
-// samples (0 when no decisions were recorded).
+// samples (0 when no decisions were recorded), read from the histogram: the
+// upper edge of the bucket holding the nearest-rank sample, capped at
+// MaxStaleNS. The result is never below the exact nearest-rank sample and
+// overstates it by less than 1/64 of its value; samples below 128 ns, and
+// the maximum (q = 1), are exact.
 func (s *ServeStats) StaleQuantileNS(q float64) int64 {
-	if len(s.staleNS) == 0 {
+	if s.staleN == 0 {
 		return 0
 	}
-	sorted := append([]int64(nil), s.staleNS...)
-	// Equal int64 keys are interchangeable, so a stable sort yields a total
-	// deterministic order regardless of sample arrival interleaving.
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := int(float64(len(sorted))*q) - 1
+	i := int64(float64(s.staleN)*q) - 1
 	if q >= 1 {
-		i = len(sorted) - 1
+		i = s.staleN - 1
 	}
 	if i < 0 {
 		i = 0
 	}
-	return sorted[i]
+	var seen int64
+	for b, n := range s.staleHist {
+		if seen += n; seen > i {
+			return min(staleBucketMax(b), s.MaxStaleNS)
+		}
+	}
+	return s.MaxStaleNS // unreachable: the buckets sum to staleN
 }
 
 // Clone deep-copies the stats so a live serving loop can publish a
@@ -126,8 +170,7 @@ func (s *ServeStats) Clone() *ServeStats {
 		cp.Rejected[k] = v
 	}
 	cp.RoutedByEdge = append([]int64(nil), s.RoutedByEdge...)
-	cp.staleNS = append([]int64(nil), s.staleNS...)
-	return &cp
+	return &cp // the histogram is an array: copied with the struct
 }
 
 // String renders the counters deterministically (reject reasons sorted).

@@ -1,6 +1,10 @@
 package metrics
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -96,5 +100,98 @@ func TestServeStatsStringDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(a, "bad-request=1 no-edge=1 rate-limit=1") {
 		t.Fatalf("reasons not sorted: %s", a)
+	}
+}
+
+// exactStaleQuantile is the nearest-rank quantile over the raw samples — the
+// sort every quantile query used to pay, kept here as the histogram's oracle.
+func exactStaleQuantile(samples []int64, q float64) int64 {
+	sorted := append([]int64(nil), samples...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	i := int(float64(len(sorted))*q) - 1
+	if q >= 1 {
+		i = len(sorted) - 1
+	}
+	return sorted[max(i, 0)]
+}
+
+// TestStaleBucketEdges: every bucket's upper edge maps back to the bucket,
+// the next value starts the next bucket, and a bucket never spans more than
+// 1/64 of its lower edge — so the buckets tile [0, MaxInt64] with the
+// documented error bound.
+func TestStaleBucketEdges(t *testing.T) {
+	if got := staleBucket(math.MaxInt64); got != staleBuckets-1 {
+		t.Fatalf("MaxInt64 lands in bucket %d, want the last, %d", got, staleBuckets-1)
+	}
+	if got := staleBucketMax(staleBuckets - 1); got != math.MaxInt64 {
+		t.Fatalf("last bucket ends at %d, want MaxInt64", got)
+	}
+	lo := int64(0)
+	for b := 0; b < staleBuckets; b++ {
+		hi := staleBucketMax(b)
+		if staleBucket(lo) != b || staleBucket(hi) != b {
+			t.Fatalf("bucket %d = [%d, %d] but those map to %d and %d", b, lo, hi, staleBucket(lo), staleBucket(hi))
+		}
+		if lo < 128 && hi != lo {
+			t.Fatalf("bucket %d = [%d, %d]: values below 128 must be exact", b, lo, hi)
+		}
+		if float64(hi-lo) > float64(lo)/64 {
+			t.Fatalf("bucket %d = [%d, %d] wider than 1/64 of its lower edge", b, lo, hi)
+		}
+		lo = hi + 1
+	}
+}
+
+// TestStaleQuantileMatchesExactSort compares the histogram quantiles with an
+// exact sort of the same samples: never below the exact value, within 1/64
+// of it, never above the observed maximum, and exact at q = 1.
+func TestStaleQuantileMatchesExactSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var pow2 []int64
+	for e := 0; e < 63; e++ {
+		v := int64(1) << e
+		pow2 = append(pow2, v-1, v)
+		if v < math.MaxInt64 {
+			pow2 = append(pow2, v+1)
+		}
+	}
+	pow2 = append(pow2, math.MaxInt64)
+	cases := map[string][]int64{
+		"powers of two ±1": pow2,
+		"all equal":        make([]int64, 1000),
+		"one sample":       {987654321},
+	}
+	for i := range cases["all equal"] {
+		cases["all equal"][i] = 4_898_947_071
+	}
+	for r := 0; r < 20; r++ {
+		n := 1 + rng.Intn(5000)
+		s := make([]int64, n)
+		scale := rng.Intn(62) // samples spread over [0, 2^scale)
+		for i := range s {
+			s[i] = rng.Int63n(int64(1)<<scale + 1)
+		}
+		cases[fmt.Sprintf("random %d", r)] = s
+	}
+	for name, samples := range cases {
+		st := NewServeStats(1)
+		for _, v := range samples {
+			st.noteStale(v)
+		}
+		for _, q := range []float64{0, 0.01, 0.5, 0.9, 0.99, 1} {
+			got, want := st.StaleQuantileNS(q), exactStaleQuantile(samples, q)
+			if got < want {
+				t.Errorf("%s q=%v: histogram %d below the exact %d", name, q, got, want)
+			}
+			if float64(got-want) > float64(want)/64 {
+				t.Errorf("%s q=%v: histogram %d exceeds the exact %d by more than 1/64", name, q, got, want)
+			}
+			if got > st.MaxStaleNS {
+				t.Errorf("%s q=%v: histogram %d above the maximum %d", name, q, got, st.MaxStaleNS)
+			}
+			if q == 1 && got != want {
+				t.Errorf("%s: p100 = %d, want the exact maximum %d", name, got, want)
+			}
+		}
 	}
 }

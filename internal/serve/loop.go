@@ -102,6 +102,7 @@ type Loop struct {
 	replanInFlight bool
 	stats          *metrics.ServeStats
 	log            *bufio.Writer
+	line           []byte // decision-log line buffer, reused by every decide
 }
 
 // NewLoop validates the configuration, solves the bootstrap plan (unless
@@ -241,7 +242,8 @@ func (l *Loop) decide(req Request) (Decision, error) {
 		l.stats.NoteReject(d.Reason, d.StaleNS)
 	}
 	if l.log != nil {
-		fmt.Fprintf(l.log, "%s\n", d)
+		l.line = append(d.AppendLog(l.line[:0]), '\n')
+		_, _ = l.log.Write(l.line) // a write error sticks in the bufio.Writer; Flush reports it
 	}
 	return d, nil
 }

@@ -16,7 +16,7 @@
 // edge of the process; tests and replays never read a clock at all.
 package serve
 
-import "fmt"
+import "strconv"
 
 // Request is one inference request offered to the serving loop.
 type Request struct {
@@ -65,15 +65,37 @@ const (
 // String renders the canonical decision-log line (no trailing newline).
 // The format is stable: the byte-identity acceptance check compares these
 // lines across worker counts.
-func (d Decision) String() string {
-	admit := 0
+func (d Decision) String() string { return string(d.AppendLog(nil)) }
+
+// AppendLog appends the canonical decision-log line (no trailing newline)
+// to b and returns the extended buffer:
+//
+//	seq id app=A region=R admit=0|1 reason=REASON|- edge=E snap=S stale_ns=N
+//
+// It formats with strconv and literal appends, so a caller that reuses b
+// writes the log without allocating.
+func (d Decision) AppendLog(b []byte) []byte {
+	b = strconv.AppendInt(b, d.Seq, 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, d.Req.ID, 10)
+	b = append(b, " app="...)
+	b = strconv.AppendInt(b, int64(d.Req.App), 10)
+	b = append(b, " region="...)
+	b = strconv.AppendInt(b, int64(d.Req.Region), 10)
 	if d.Admitted {
-		admit = 1
+		b = append(b, " admit=1 reason="...)
+	} else {
+		b = append(b, " admit=0 reason="...)
 	}
-	reason := d.Reason
-	if reason == "" {
-		reason = "-"
+	if d.Reason == "" {
+		b = append(b, '-')
+	} else {
+		b = append(b, d.Reason...)
 	}
-	return fmt.Sprintf("%d %d app=%d region=%d admit=%d reason=%s edge=%d snap=%d stale_ns=%d",
-		d.Seq, d.Req.ID, d.Req.App, d.Req.Region, admit, reason, d.Edge, d.SnapshotID, d.StaleNS)
+	b = append(b, " edge="...)
+	b = strconv.AppendInt(b, int64(d.Edge), 10)
+	b = append(b, " snap="...)
+	b = strconv.AppendInt(b, d.SnapshotID, 10)
+	b = append(b, " stale_ns="...)
+	return strconv.AppendInt(b, d.StaleNS, 10)
 }

@@ -15,7 +15,8 @@
 #                             # daemon round trip with SIGINT clean shutdown
 #   scripts/check.sh -bench   # bench tier: fig7 workers {1,4}, serve replay
 #                             # throughput + staleness percentiles, micro-benches
-#                             # with the slot-loop allocs/op gate, CPU/allocs
+#                             # with the slot-loop and serve-submit allocs/op
+#                             # gates, CPU/allocs
 #                             # profile capture; writes BENCH_PR10.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -131,29 +132,36 @@ if [[ "${1:-}" == "-bench" ]]; then
 	done
 	cmp "$tmp/serve_w1_r1.log" "$tmp/serve_w4_r1.log"
 
-	echo "== micro-benches (warm vs cold, LP box solve, warm re-entry, slot-loop allocs)"
+	echo "== micro-benches (warm vs cold, LP box solve, warm re-entry, slot-loop and serve-submit allocs)"
 	go test . -run '^$' -bench 'BenchmarkWarmVsColdRelaxation' -benchtime 100x |
 		tee "$tmp/micro.txt"
 	go test ./internal/lp -run '^$' -bench 'BenchmarkBoundedBoxLP|BenchmarkWarmReentry' -benchmem |
 		tee -a "$tmp/micro.txt"
 	go test ./internal/core -run '^$' -bench 'BenchmarkSlotLoop' -benchtime 200x -benchmem |
 		tee -a "$tmp/micro.txt"
+	go test ./internal/serve -run '^$' -bench 'BenchmarkLoopSubmit' -benchmem |
+		tee -a "$tmp/micro.txt"
 
-	# Alloc gate: the steady-state slot loop must stay within the recorded
-	# allocs/op budget (TestSlotLoopAllocBudget enforces the same ceiling
+	# Alloc gates: the steady-state slot loop must stay within the recorded
+	# allocs/op budget, and a serve decision between replans must allocate
+	# nothing (TestSlotLoopAllocBudget and
+	# TestLoopSubmitAllocatesNothingBetweenReplans enforce the same ceilings
 	# in-process; this guards the bench artifact itself).
 	python3 - "$tmp/micro.txt" <<-'EOF'
 		import re, sys
-		BUDGET = 300
+		BUDGETS = {"BenchmarkSlotLoop": ("slot loop", 300), "BenchmarkLoopSubmit": ("serve submit", 0)}
+		seen = set()
 		for line in open(sys.argv[1]):
-		    m = re.match(r"^BenchmarkSlotLoop\b.* (\d+) allocs/op", line)
-		    if m:
-		        allocs = int(m.group(1))
-		        assert allocs <= BUDGET, f"slot loop {allocs} allocs/op > budget {BUDGET}"
-		        print(f"ok: slot loop {allocs} allocs/op <= budget {BUDGET}")
-		        break
-		else:
-		    sys.exit("BenchmarkSlotLoop missing from micro.txt")
+		    m = re.match(r"^(Benchmark\w+)\b.* (\d+) allocs/op", line)
+		    if m and m.group(1) in BUDGETS and m.group(1) not in seen:
+		        seen.add(m.group(1))
+		        what, budget = BUDGETS[m.group(1)]
+		        allocs = int(m.group(2))
+		        assert allocs <= budget, f"{what} {allocs} allocs/op > budget {budget}"
+		        print(f"ok: {what} {allocs} allocs/op <= budget {budget}")
+		missing = set(BUDGETS) - seen
+		if missing:
+		    sys.exit(f"{', '.join(sorted(missing))} missing from micro.txt")
 	EOF
 
 	echo "== profile capture (quick fig7, cpu + allocs) + frame report"
