@@ -33,7 +33,7 @@ var knownExps = map[string]bool{
 
 // timingReport is the machine-readable output of -json: per-experiment
 // wall-clock seconds plus the knobs that shaped the run, so serial and
-// parallel runs can be compared mechanically (see BENCH_PR1.json).
+// parallel runs can be compared mechanically.
 type timingReport struct {
 	Workers    int         `json:"workers"`
 	Slots      int         `json:"slots"`
@@ -78,7 +78,7 @@ func main() {
 	jsonPath := flag.String("json", "", "write machine-readable per-experiment timings (JSON) to this file")
 	solverStats := flag.Bool("solverstats", false, "print cumulative MIQP solver counters (nodes, warm-start hit rate, pivots, presolve reductions) after fig6/fig7")
 	pprofPath := flag.String("pprof", "", "write a CPU profile of the whole run to this file")
-	profileKind := flag.String("profile", "", "write per-experiment profiles: cpu, heap, or allocs (one <exp>.<kind>.pprof per experiment; see -profdir)")
+	profileKind := flag.String("profile", "", "write per-experiment profiles: cpu, heap, or allocs (one <exp>.<kind>.pprof per experiment; see -profdir; read with go tool pprof -top)")
 	profDir := flag.String("profdir", ".", "directory for -profile output files")
 	noReuse := flag.Bool("noreuse", false, "disable cross-slot solver reuse (incumbent seeding, plan memoization); every slot solves cold — for A/B measurement")
 	k := flag.Int("k", 50, "fleet size for -exp scale (seeded synthetic fleet)")
@@ -267,11 +267,14 @@ func main() {
 
 // profiled wraps one experiment with profile capture, writing
 // <dir>/<name>.<kind>.pprof. CPU profiles bracket the experiment;
-// heap/allocs profiles are written after it returns (after a GC for "heap",
-// so the snapshot shows live retention rather than collectable garbage;
-// "allocs" reports every sampled allocation since process start, which
-// attributes steady-state churn to its allocation sites). The reproducible
-// profiling workflow (scripts/profreport.py) consumes these files.
+// heap/allocs profiles are written after it returns and a GC ("heap" then
+// shows live retention rather than collectable garbage; "allocs" reports
+// every sampled allocation since process start, which attributes
+// steady-state churn to its allocation sites). The GC matters for "allocs"
+// too: the runtime publishes allocation samples only when a GC cycle
+// completes, so without it the profile would miss whatever the experiment
+// allocated after its last cycle. Read them with
+// `go tool pprof -top <file>` (add -sample_index=alloc_space for allocs).
 func profiled(kind, dir, name string, f func() error) func() error {
 	return func() error {
 		path := fmt.Sprintf("%s/%s.%s.pprof", dir, name, kind)
@@ -295,9 +298,7 @@ func profiled(kind, dir, name string, f func() error) func() error {
 			if err := f(); err != nil {
 				return err
 			}
-			if kind == "heap" {
-				runtime.GC()
-			}
+			runtime.GC()
 			out, err := os.Create(path)
 			if err != nil {
 				return err

@@ -235,8 +235,8 @@ func (s *Scheduler) decideHierarchical(t int, arrivals [][]int) (*edgesim.Plan, 
 
 	// Concurrent domain solves. Each sub-scheduler is owned by exactly one
 	// item, so the only shared state is the (pre-warmed, read-only during the
-	// fan-out) TIR provider and the parent cluster's bandwidth cache
-	// (sync.Map of pure values).
+	// fan-out) TIR provider and the parent cluster's bandwidth cache (a
+	// 64-slot ring of atomic cells holding pure values).
 	plans := make([]*edgesim.Plan, D)
 	if err := par.ForEach(h.outer, D, func(_, d int) error {
 		p, err := h.subs[d].decideDecomposed(t, localArr[d])

@@ -25,10 +25,10 @@ import (
 // so reuse-on vs reuse-off agree only within the solver's 0.5% gap tolerance
 // — the same bound PR 2 established for warm-vs-cold engines.
 //
-// When do the memo counters actually fire? The fingerprint covers every solve
-// input, so memo_hits and delta_skipped_edges stay at zero unless the whole
-// input vector repeats bit-for-bit. Under the default configuration two
-// inputs drift every slot by design, keeping the memo legitimately cold:
+// When does the memo actually fire? The fingerprint covers every solve
+// input, so memo_hits stays at zero unless the whole input vector repeats
+// bit-for-bit. Under the default configuration two inputs drift every slot
+// by design, keeping the memo legitimately cold:
 //
 //   - The online tuner's LCB shading √(ε²·ln(t+1)/(n+1)) (paper Eq. 17)
 //     folds the slot counter t advanced by Tick(), so every arm's shaded
@@ -38,9 +38,9 @@ import (
 //     the ship budget repeats only when Lo == Hi.
 //
 // With an OfflineProvider (fixed parameters) and fixed bandwidth, repeated
-// arrivals hit both paths — TestMemoAndDeltaCountersFireOnRepeatedInputs
-// pins that down. The memo pays off exactly in that regime: stationary
-// pre-profiled deployments, not the exploring online scheduler.
+// arrivals hit the memo — TestMemoHitsOnRepeatedInputs pins that down. The
+// memo pays off exactly in that regime: stationary pre-profiled deployments,
+// not the exploring online scheduler.
 
 // defaultSlotCacheSize bounds the per-edge memo LRU. Per-edge memory
 // therefore stays O(1) and total memory O(K).
@@ -48,12 +48,11 @@ const defaultSlotCacheSize = 8
 
 // edgeReuse is the per-edge cross-slot solver state.
 type edgeReuse struct {
-	// cur is the assignment the edge most recently received (fresh solve,
-	// delta skip, or memo hit) and curFP the fingerprint of the problem that
-	// produced it; hasCur gates both. cur seeds the next solve's incumbent.
-	cur    *EdgeAssignment
-	curFP  uint64
-	hasCur bool
+	// cur is the assignment the edge most recently received (fresh solve or
+	// memo hit), nil before the first; it seeds the next solve's incumbent.
+	// It is always the most recent memo entry, so an edge whose problem is
+	// unchanged since its last plan is a memo hit on that entry.
+	cur *EdgeAssignment
 	// lru is the bounded fingerprint → assignment memo, most recent last.
 	lru []memoEntry
 }
@@ -74,19 +73,21 @@ func reuseFor(reuse []*edgeReuse, k int) *edgeReuse {
 // clear drops all carried state (edge failure: the rejoining edge re-solves
 // cold, and stale plans must never resurface from the memo).
 func (r *edgeReuse) clear() {
-	r.cur, r.curFP, r.hasCur = nil, 0, false
+	r.cur = nil
 	r.lru = r.lru[:0]
 }
 
-// lookup returns the memoized assignment for fp and refreshes its recency.
-// The recency slide is in place — the memo fires every slot in stationary
-// regimes, so it must not churn the allocator.
+// lookup returns the memoized assignment for fp, refreshes its recency and
+// makes it the edge's current assignment. The recency slide is in place —
+// the memo fires every slot in stationary regimes, so it must not churn the
+// allocator.
 func (r *edgeReuse) lookup(fp uint64) *EdgeAssignment {
 	for i := len(r.lru) - 1; i >= 0; i-- {
 		if r.lru[i].fp == fp {
 			e := r.lru[i]
 			copy(r.lru[i:], r.lru[i+1:])
 			r.lru[len(r.lru)-1] = e
+			r.cur = e.asg
 			return e.asg
 		}
 	}
@@ -117,13 +118,8 @@ func (r *edgeReuse) store(fp uint64, asg *EdgeAssignment) {
 // noteFresh records a fresh solve's outcome: it becomes the seed and the
 // memo gains it.
 func (r *edgeReuse) noteFresh(fp uint64, asg *EdgeAssignment) {
-	r.cur, r.curFP, r.hasCur = asg, fp, true
+	r.cur = asg
 	r.store(fp, asg)
-}
-
-// noteReused records that the edge adopted a cached assignment for fp.
-func (r *edgeReuse) noteReused(fp uint64, asg *EdgeAssignment) {
-	r.cur, r.curFP, r.hasCur = asg, fp, true
 }
 
 // cloneAssignment deep-copies the parts of a cached assignment a consumer

@@ -95,9 +95,10 @@ type Config struct {
 	// Workers only changes wall-clock time.
 	Workers int
 	// DisableSlotReuse turns off the cross-slot temporal acceleration layer
-	// (incumbent seeding from the previous slot's plan, plan memoization,
-	// per-edge delta skipping) and restores the cold per-slot path, for
-	// equivalence testing and A/B measurement. Reuse only
+	// (incumbent seeding from the previous slot's plan and plan memoization,
+	// which also serves an edge whose problem is unchanged since its last
+	// plan) and restores the cold per-slot path, for equivalence testing and
+	// A/B measurement. Reuse only
 	// changes which certified incumbent each solve starts from, so reuse-on
 	// and reuse-off plans agree within the solver's 0.5% gap tolerance;
 	// byte-identity across Workers values holds in both settings. Decomposed
@@ -344,8 +345,8 @@ func (s *Scheduler) decideDecomposed(t int, arrivals [][]int) (*edgesim.Plan, er
 	// inputs, which are summarized per edge into a fingerprint (reuse.go):
 	// edges whose fingerprint is unchanged within the slot keep their
 	// assignment, and — when cross-slot reuse is on — edges whose fingerprint
-	// matches the previous slot's problem (delta skip) or a memoized one
-	// (memo hit) adopt the cached plan fragment without solving at all.
+	// matches a memoized problem (the previous slot's included) adopt the
+	// cached plan fragment without solving at all.
 	// Cap the fan-out at the schedulable CPUs: an oversubscribed pool pays
 	// goroutine and merge overhead without any concurrency (plans are
 	// pool-width independent, so the cap cannot change results).
@@ -414,19 +415,10 @@ func (s *Scheduler) decideDecomposed(t int, arrivals [][]int) (*edgesim.Plan, er
 				continue // unchanged within this slot
 			}
 			if ru := reuseFor(s.reuse, k); ru != nil {
-				if ru.hasCur && ru.curFP == fps[k] {
-					// Delta skip: the problem is identical to the one behind
-					// the edge's previous plan.
-					asgs[k] = cloneAssignment(ru.cur)
-					curFP[k] = fps[k]
-					slotSolver.DeltaSkippedEdges++
-					continue
-				}
 				if hit := ru.lookup(fps[k]); hit != nil {
 					asgs[k] = cloneAssignment(hit)
 					curFP[k] = fps[k]
 					slotSolver.MemoHits++
-					ru.noteReused(fps[k], hit)
 					continue
 				}
 			}
@@ -464,7 +456,7 @@ func (s *Scheduler) decideDecomposed(t int, arrivals [][]int) (*edgesim.Plan, er
 				Pool:                 s.pool,
 				scratch:              s.edgeScr[w],
 			}
-			if ru := reuseFor(s.reuse, k); ru != nil && ru.hasCur {
+			if ru := reuseFor(s.reuse, k); ru != nil && ru.cur != nil {
 				// Temporal warm start: the previous plan seeds the incumbent
 				// (after repair). Read-only here; updates happen in the
 				// sequential gather.

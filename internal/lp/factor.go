@@ -1,7 +1,5 @@
 package lp
 
-import "math"
-
 // Basis factorization for the revised simplex: a dense column-major LU with
 // partial pivoting, extended by a product-form eta file so that pivots update
 // the factorization in O(m + eta nnz) instead of refactorizing.
@@ -37,33 +35,6 @@ const (
 	luColdSingularTol = 1e-11
 )
 
-// factorSnapshot holds a basis LU factorization, attached to a captured Basis
-// so that child solves re-entering the same basis can load the factors instead
-// of refactorizing from scratch. A snapshot is immutable while any basis of
-// the current branch & bound tree references it; the backing objects are
-// recycled per tree by the revEngine arena (see Scratch.BeginTree). Bit-exactness contract: the
-// snapshot is only ever taken when the engine's LU is *canonical* — i.e. the
-// eta file is empty, so lu = LU(current basis, matrix) exactly as a fresh
-// factorize would compute it (factorize is a pure function of the basis columns
-// and the matrix). A loading child therefore proceeds on the identical bits it
-// would have produced itself, keeping plans byte-identical across worker counts
-// and across the Options.NoFactorReuse knob.
-//
-// mat pins the matrix identity: a snapshot is reusable only against the exact
-// cscMatrix it was factorized from (the Form-owned compiled matrix, shared by
-// every worker of a branch & bound tree). minPiv carries the smallest pivot
-// magnitude of the factorization so the warm-entry singularity rejection
-// (luWarmSingularTol) behaves exactly as if the child had factorized itself.
-type factorSnapshot struct {
-	mat    *cscMatrix
-	m      int
-	minPiv float64
-	lu     []float64
-	piv    []int32
-	lLast  []int32
-	uFirst []int32
-}
-
 // basisFactor holds the LU factors of the current basis matrix plus the eta
 // file of post-factorization pivots. Storage is reused across refactorizations
 // and across solves (the owning revEngine lives in a Scratch).
@@ -73,23 +44,6 @@ type basisFactor struct {
 	// piv records the partial-pivoting row swaps: at elimination step k rows k
 	// and piv[k] were exchanged (piv[k] >= k).
 	piv []int32
-
-	// lu/piv/lLast/uFirst above are the *active* views. Normally they alias the
-	// own* storage below; after loadSnapshot they alias the snapshot's arrays
-	// instead (borrowed — snapshots are immutable while live, and nothing
-	// writes the factor arrays outside factorize, so borrowing is race-free
-	// even when several workers load the same snapshot). reset restores the
-	// own* views, so any factorize writes into engine-owned storage.
-	ownLu                       []float64
-	ownPiv, ownLLast, ownUFirst []int32
-
-	// minPivot is the smallest pivot magnitude of the last factorize (or the
-	// loaded snapshot's); src points at the snapshot the factors were loaded
-	// from, while they still equal it bit-for-bit (cleared by any factorize or
-	// eta append), so a re-capture of an unchanged basis can share the snapshot
-	// instead of copying the LU again.
-	minPivot float64
-	src      *factorSnapshot
 
 	// Per-column nonzero extents of the factors, computed once per
 	// factorization: lLast[k] is the largest row > k holding a nonzero L
@@ -114,23 +68,10 @@ type basisFactor struct {
 
 func (f *basisFactor) reset(m int) {
 	f.m = m
-	if cap(f.ownLu) < m*m {
-		f.ownLu = make([]float64, m*m)
-	}
-	f.ownLu = f.ownLu[:m*m]
-	if cap(f.ownPiv) < m {
-		f.ownPiv = make([]int32, m)
-	}
-	f.ownPiv = f.ownPiv[:m]
-	if cap(f.ownLLast) < m {
-		f.ownLLast = make([]int32, m)
-	}
-	f.ownLLast = f.ownLLast[:m]
-	if cap(f.ownUFirst) < m {
-		f.ownUFirst = make([]int32, m)
-	}
-	f.ownUFirst = f.ownUFirst[:m]
-	f.lu, f.piv, f.lLast, f.uFirst = f.ownLu, f.ownPiv, f.ownLLast, f.ownUFirst
+	f.lu = growF64(f.lu, m*m)
+	f.piv = growI32(f.piv, m)
+	f.lLast = growI32(f.lLast, m)
+	f.uFirst = growI32(f.uFirst, m)
 	f.etaRow = f.etaRow[:0]
 	f.etaDiag = f.etaDiag[:0]
 	f.etaStart = append(f.etaStart[:0], 0)
@@ -148,8 +89,6 @@ func (f *basisFactor) etaCount() int { return len(f.etaRow) }
 // practice. Returns false when a pivot falls below singularTol.
 func (f *basisFactor) factorize(m int, load func(i int, col []float64), singularTol float64) bool {
 	f.reset(m)
-	f.minPivot = 0
-	f.src = nil
 	lu := f.lu
 	// One bulk clear beats m per-column clears; load only scatters nonzeros.
 	for i := range lu {
@@ -158,7 +97,6 @@ func (f *basisFactor) factorize(m int, load func(i int, col []float64), singular
 	for i := 0; i < m; i++ {
 		load(i, lu[i*m:(i+1)*m])
 	}
-	minPiv := math.Inf(1)
 	for k := 0; k < m; k++ {
 		colK := lu[k*m : (k+1)*m]
 		// Partial pivoting: largest |value| at or below the diagonal, ties to
@@ -171,9 +109,6 @@ func (f *basisFactor) factorize(m int, load func(i int, col []float64), singular
 		}
 		if best <= singularTol {
 			return false
-		}
-		if best < minPiv {
-			minPiv = best
 		}
 		f.piv[k] = int32(p)
 		if p != k {
@@ -236,40 +171,7 @@ func (f *basisFactor) factorize(m int, load func(i int, col []float64), singular
 		}
 		f.uFirst[k] = int32(first)
 	}
-	f.minPivot = minPiv
 	return true
-}
-
-// loadSnapshot installs a previously captured canonical factorization: the
-// factors become bit-identical to what factorize would compute for the same
-// basis and matrix (that is the snapshot invariant), with an empty eta file.
-// The snapshot's arrays are borrowed, not copied — the active views alias them
-// until the next reset (any factorize), which restores the engine-owned
-// storage before writing.
-func (f *basisFactor) loadSnapshot(s *factorSnapshot) {
-	f.reset(s.m)
-	f.lu, f.piv, f.lLast, f.uFirst = s.lu, s.piv, s.lLast, s.uFirst
-	f.minPivot = s.minPiv
-	f.src = s
-}
-
-// snapshot moves the current factors into s (an arena-recycled or fresh
-// factorSnapshot) by swapping array ownership: s takes the engine-owned factor
-// arrays and the engine keeps s's old storage for its next factorize. O(1) —
-// no copying — which matters because this runs once per captured pivoting
-// node. The caller must guarantee the factors are canonical (empty eta file),
-// engine-owned (the active views alias own*; true after any factorize), and
-// must not use them again before the next reset: on return the active views
-// hold s's stale previous contents.
-func (f *basisFactor) snapshot(mat *cscMatrix, s *factorSnapshot) *factorSnapshot {
-	s.mat, s.m, s.minPiv = mat, f.m, f.minPivot
-	s.lu, f.ownLu = f.ownLu, s.lu
-	s.piv, f.ownPiv = f.ownPiv, s.piv
-	s.lLast, f.ownLLast = f.ownLLast, s.lLast
-	s.uFirst, f.ownUFirst = f.ownUFirst, s.uFirst
-	f.lu, f.piv, f.lLast, f.uFirst = f.ownLu, f.ownPiv, f.ownLLast, f.ownUFirst
-	f.src = s
-	return s
 }
 
 // ftran solves B·z = rhs in place (z == rhs on entry): permute, L-solve,
@@ -397,7 +299,6 @@ func (f *basisFactor) appendEta(r int, w []float64) bool {
 	if abs64(d) < 1e-11 {
 		return false
 	}
-	f.src = nil // factors no longer equal any captured snapshot
 	f.etaRow = append(f.etaRow, int32(r))
 	f.etaDiag = append(f.etaDiag, d)
 	for i, v := range w {

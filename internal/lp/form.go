@@ -87,10 +87,8 @@ func NewForm(p *Problem) (*Form, error) { return NewFormReuse(nil, p) }
 // NewFormReuse compiles p exactly like NewForm but recycles prev's storage
 // (prev may be nil, and any shape difference is handled by regrowing). The
 // returned Form is prev when prev was non-nil. Caller contract: prev must no
-// longer be in use by any solver — in particular, factor snapshots captured
-// against prev's compiled matrix must all be dead (see Scratch.BeginTree),
-// because the recycled matrix keeps its pointer identity while changing
-// contents.
+// longer be in use by any solver, because the recycled matrix changes its
+// contents in place.
 func NewFormReuse(prev *Form, p *Problem) (*Form, error) {
 	n := len(p.C)
 	if err := validate(p, n); err != nil {

@@ -113,6 +113,67 @@ func TestFormWarmChainMatchesCold(t *testing.T) {
 	}
 }
 
+// TestFormCaptureAddsNoWork: capturing the optimal basis on the Form path
+// records which columns are basic and nothing more. A solve with
+// CaptureBasis must report the same Refactorizations — and every other field
+// apart from Basis — as the same solve without it, both cold and when
+// re-entering a tightened child from a captured basis.
+func TestFormCaptureAddsNoWork(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	scOn, scOff := NewScratch(), NewScratch()
+	pivoted := 0
+	same := func(i int, what string, on, off *Result) {
+		t.Helper()
+		got := *on
+		got.Basis = nil
+		if !reflect.DeepEqual(&got, off) {
+			t.Fatalf("instance %d %s: capture changed the result\ncapture: %+v\nplain:   %+v", i, what, &got, off)
+		}
+		if on.Status == StatusOptimal && on.Pivots() > 0 {
+			pivoted++
+		}
+	}
+	for i := 0; i < 60; i++ {
+		p := mixedBoundsLP(rng)
+		f, err := NewForm(p)
+		if err != nil {
+			t.Fatalf("instance %d NewForm: %v", i, err)
+		}
+		root, err := f.SolveWarm(p.Lb, p.Ub, Options{CaptureBasis: true}, scOn, nil)
+		if err != nil {
+			t.Fatalf("instance %d root: %v", i, err)
+		}
+		plain, err := f.SolveWarm(p.Lb, p.Ub, Options{}, scOff, nil)
+		if err != nil {
+			t.Fatalf("instance %d root: %v", i, err)
+		}
+		same(i, "cold", root, plain)
+		if root.Status != StatusOptimal || root.Basis == nil {
+			continue
+		}
+		ub2 := append([]float64(nil), p.Ub...)
+		for j := range ub2 {
+			if !math.IsInf(ub2[j], 1) && !math.IsInf(p.Lb[j], -1) {
+				ub2[j] = math.Max(root.X[j]*0.5, p.Lb[j])
+			}
+		}
+		opt := Options{PreferDual: true}
+		plain, err = f.SolveWarm(p.Lb, ub2, opt, scOff, root.Basis)
+		if err != nil {
+			t.Fatalf("instance %d warm: %v", i, err)
+		}
+		opt.CaptureBasis = true
+		child, err := f.SolveWarm(p.Lb, ub2, opt, scOn, root.Basis)
+		if err != nil {
+			t.Fatalf("instance %d warm: %v", i, err)
+		}
+		same(i, "warm", child, plain)
+	}
+	if pivoted < 20 {
+		t.Fatalf("only %d solves pivoted; the capture check is near vacuous", pivoted)
+	}
+}
+
 // TestFormPatternMismatchFallsBack: bounds whose substitution pattern differs
 // from the compiled one (a free variable gaining a finite lower bound) must
 // take the cold fallback — and still return the correct answer.

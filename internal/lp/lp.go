@@ -131,12 +131,6 @@ type Result struct {
 	// refactorization count and total eta-file updates of the solve.
 	Refactorizations int
 	EtaLen           int
-	// FactorReuses counts warm entries that loaded the parent basis's captured
-	// canonical LU factorization instead of refactorizing (0 or 1 per solve).
-	// The loaded factors are bit-identical to what a fresh factorization would
-	// produce, so reuse changes no solver decision — only the Refactorizations
-	// work counter.
-	FactorReuses int
 }
 
 // Pivots returns the total pivot work of the solve: the dual repair pivots
@@ -168,12 +162,6 @@ type Options struct {
 	// cold solve. Never set it when costs or constraint data changed.
 	// Ignored by cold solves.
 	PreferDual bool
-	// NoFactorReuse disables the factorization handoff of the kernel:
-	// captured bases then carry no LU snapshot and warm re-entries always
-	// refactorize from scratch, exactly the pre-reuse behavior. Debug knob for
-	// A/B equivalence runs — plans are byte-identical either way (the snapshot
-	// is bit-exact by construction); only the Refactorizations counter moves.
-	NoFactorReuse bool
 }
 
 const defaultTol = 1e-9
@@ -202,13 +190,12 @@ type Scratch struct {
 func NewScratch() *Scratch { return &Scratch{} }
 
 // BeginTree marks the start of a branch & bound tree on this scratch: it
-// recycles the factor-snapshot arena, invalidating every snapshot handed out
-// through this scratch since the previous call. The caller must guarantee no
-// Basis captured before the call is re-entered after it. Solvers that never
-// capture bases need not call it.
+// recycles the captured-basis arena, invalidating every Form-path Basis
+// handed out through this scratch since the previous call. The caller must
+// guarantee no Basis captured before the call is re-entered after it.
+// Solvers that never capture bases need not call it.
 func (s *Scratch) BeginTree() {
 	if s.rev != nil {
-		s.rev.snapUsed = 0
 		s.rev.basisUsed = 0
 	}
 }

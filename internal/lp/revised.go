@@ -71,32 +71,12 @@ type revEngine struct {
 	refactors int
 	etaTotal  int
 
-	// snapArena recycles factorSnapshot objects (and, via the snapshot swap,
-	// their factor arrays) across the nodes of one branch & bound tree.
-	// Snapshots are only referenced by that tree's captured bases, so
-	// Scratch.BeginTree resets snapUsed and the next tree reuses the storage;
-	// steady-state trees allocate no snapshot memory at all.
-	snapArena []*factorSnapshot
-	snapUsed  int
-
-	// basisArena recycles captured Basis objects under the same per-tree
-	// discipline as snapArena (Form path only).
+	// basisArena recycles captured Basis objects across the nodes of one
+	// branch & bound tree (Form path only). Those bases are referenced only
+	// by that tree, so Scratch.BeginTree resets basisUsed and the next tree
+	// reuses the storage.
 	basisArena []*Basis
 	basisUsed  int
-}
-
-// takeSnapSlot returns the next recycled snapshot from the per-tree arena,
-// growing it on first use at each depth.
-func (e *revEngine) takeSnapSlot() *factorSnapshot {
-	if e.snapUsed < len(e.snapArena) {
-		s := e.snapArena[e.snapUsed]
-		e.snapUsed++
-		return s
-	}
-	s := &factorSnapshot{}
-	e.snapArena = append(e.snapArena, s)
-	e.snapUsed++
-	return s
 }
 
 func (sc *Scratch) revived() *revEngine {
@@ -601,7 +581,6 @@ func (e *revEngine) captureBasis() *Basis {
 			e.basisArena = append(e.basisArena, b)
 		}
 		e.basisUsed++
-		b.snap = nil
 	} else {
 		b = &Basis{}
 	}
@@ -686,44 +665,8 @@ func (e *revEngine) finishRev(p *Problem, n int, opt Options, tol float64, sf *s
 	if opt.WantReducedCosts {
 		res.ReducedCosts = e.reducedCosts(sf, n, tol)
 	}
-	// attachFactors must come last: it may refactorize (changing the factor
-	// bits the reduced-cost BTRANs would otherwise see, which would make the
-	// reported costs depend on the NoFactorReuse knob) and its snapshot swap
-	// leaves the engine's factor arrays stale until the next solve's reset.
-	if opt.CaptureBasis {
-		e.attachFactors(res.Basis, opt)
-	}
 	res.Refactorizations = e.refactors
 	res.EtaLen = e.etaTotal
-}
-
-// attachFactors hangs the canonical LU factorization of the captured basis on
-// b, so children re-entering from it skip their entry factorization. Only the
-// Form path qualifies: the snapshot is keyed to the tree-shared compiled
-// matrix by pointer identity, which an engine-owned matrix (rebuilt per solve)
-// cannot provide. When the solve pivoted since the last factorization the eta
-// file is non-empty and the factors are first canonicalized by refactorizing
-// the exit basis — a deterministic in-solve step, counted in Refactorizations
-// like any other rebuild. The refactorization this hoists to capture time is
-// repaid once per *child* (most nodes have two), and the snapshot is shared
-// unchanged down zero-pivot chains, so factorization work drops roughly by the
-// warm-entry count minus the pivoting-node count. A singular canonicalization
-// (possible only under numerical degradation) just skips the snapshot; the
-// children then factorize themselves, which is the old behavior.
-func (e *revEngine) attachFactors(b *Basis, opt Options) {
-	if b == nil || opt.NoFactorReuse || e.csc == &e.ownCSC {
-		return
-	}
-	if e.f.etaCount() > 0 && !e.factorize(luColdSingularTol) {
-		return
-	}
-	if src := e.f.src; src != nil && src.mat == e.csc {
-		// The factors still equal a live snapshot bit-for-bit (zero-pivot
-		// node): share it instead of consuming an arena slot.
-		b.snap = src
-		return
-	}
-	b.snap = e.f.snapshot(e.csc, e.takeSnapSlot())
 }
 
 // revSolveCold is the cold path: two-phase primal simplex with sign-matched
@@ -863,19 +806,7 @@ func revWarmAttempt(p *Problem, n int, sf *standardForm, csc *cscMatrix, opt Opt
 			e.atUpper[j] = true
 		}
 	}
-	// Factorization handoff: when the warm basis carries the canonical LU of
-	// exactly this matrix, load it instead of refactorizing. The snapshot's
-	// minimum pivot stands in for the singularity test a fresh factorization
-	// would have run, so rejection (→ cold fallback) happens on identical
-	// inputs either way.
-	factorReused := false
-	if snap := warm.snap; snap != nil && !opt.NoFactorReuse && csc != nil && snap.mat == csc && snap.m == m {
-		if snap.minPiv <= luWarmSingularTol {
-			return nil, false
-		}
-		e.f.loadSnapshot(snap)
-		factorReused = true
-	} else if !e.factorize(luWarmSingularTol) {
+	if !e.factorize(luWarmSingularTol) {
 		return nil, false
 	}
 	e.computeXB()
@@ -888,9 +819,6 @@ func revWarmAttempt(p *Problem, n int, sf *standardForm, csc *cscMatrix, opt Opt
 		maxIter = 20*(m+e.nCols) + 200
 	}
 	res := &Result{Status: StatusOptimal, Warm: true, DualReentry: opt.PreferDual}
-	if factorReused {
-		res.FactorReuses = 1
-	}
 	if opt.PreferDual && warm.d != nil && len(warm.d) == e.nCols {
 		// Bounds-only re-entry: the parent's exit reduced costs are this
 		// basis's reduced costs under the unchanged objective, so the entry
@@ -923,7 +851,5 @@ func revWarmAttempt(p *Problem, n int, sf *standardForm, csc *cscMatrix, opt Opt
 		return nil, false
 	}
 	e.finishRev(p, n, opt, tol, sf, sc, res)
-	res.Refactorizations = e.refactors
-	res.EtaLen = e.etaTotal
 	return res, true
 }

@@ -221,11 +221,6 @@ type Options struct {
 	// DisablePresolve skips the pre-root bound-implication pass and the
 	// root reduced-cost bound tightening.
 	DisablePresolve bool
-	// NoFactorReuse forwards lp.Options.NoFactorReuse: warm re-entries always
-	// refactorize instead of loading the parent basis's captured LU. Reference
-	// path for the equivalence tests — solutions and node/pivot counts are
-	// identical either way; only Stats.Refactorizations/FactorReuses move.
-	NoFactorReuse bool
 }
 
 // relaxBatch is the number of frontier nodes expanded per batch-synchronous
@@ -408,8 +403,8 @@ func SolveOpts(p *Problem, opt Options) (*Result, error) {
 	// validateRows cannot see, e.g. NaN bounds) just leaves the per-node path
 	// building its own standard form, exactly as before.
 	var form *lp.Form
-	// Recycling ts.form is safe because every factor snapshot keyed to its
-	// compiled matrix died with the tree that captured it (BeginTree below).
+	// Recycling ts.form is safe because the previous tree that solved
+	// against it has finished.
 	if f, err := lp.NewFormReuse(ts.form, &lp.Problem{
 		C: pp.C, Aeq: pp.Aeq, Beq: pp.Beq, Aub: pp.Aub, Bub: pp.Bub, Lb: lb, Ub: ub,
 	}); err == nil {
@@ -451,7 +446,7 @@ func SolveOpts(p *Problem, opt Options) (*Result, error) {
 		} else {
 			scratches[w] = lpScratchPool.Get().(*lp.Scratch)
 		}
-		// Recycle the factor-snapshot arena: every basis captured on this
+		// Recycle the captured-basis arena: every basis captured on this
 		// scratch by a previous tree is dead.
 		scratches[w].BeginTree()
 	}
@@ -516,7 +511,7 @@ func SolveOpts(p *Problem, opt Options) (*Result, error) {
 			// state the revised engine's PreferDual contract needs.
 			var err error
 			relaxes[i], err = solveRelaxation(pp, form, nd.lb, nd.ub, scratches[w], warm, warmOK,
-				rootRC && nd.depth == 0, warm != nil, opt.NoFactorReuse)
+				rootRC && nd.depth == 0, warm != nil)
 			return err
 		}); err != nil {
 			return nil, err
@@ -531,7 +526,6 @@ func SolveOpts(p *Problem, opt Options) (*Result, error) {
 			res.Stats.DualPivots += r.dualPivots
 			res.Stats.Refactorizations += r.refactorizations
 			res.Stats.EtaLength += r.etaLen
-			res.Stats.FactorReuses += r.factorReuses
 			if r.dualReentry {
 				res.Stats.DualReentries++
 			}
@@ -749,7 +743,6 @@ type relaxResult struct {
 	dualPivots       int
 	refactorizations int
 	etaLen           int
-	factorReuses     int
 }
 
 // solveRelaxation solves the continuous relaxation under node bounds. form,
@@ -760,8 +753,8 @@ type relaxResult struct {
 // capture asks for the optimal basis (for this node's children); wantRC asks
 // for reduced costs (root tightening); preferDual asserts warm is dual
 // feasible here (bounds-only change), enabling the dual re-entry.
-func solveRelaxation(p *Problem, form *lp.Form, lb, ub []float64, sc *lp.Scratch, warm *lp.Basis, capture, wantRC, preferDual, noReuse bool) (relaxResult, error) {
-	lpOpt := lp.Options{CaptureBasis: capture, WantReducedCosts: wantRC, AssumeValid: true, PreferDual: preferDual, NoFactorReuse: noReuse}
+func solveRelaxation(p *Problem, form *lp.Form, lb, ub []float64, sc *lp.Scratch, warm *lp.Basis, capture, wantRC, preferDual bool) (relaxResult, error) {
+	lpOpt := lp.Options{CaptureBasis: capture, WantReducedCosts: wantRC, AssumeValid: true, PreferDual: preferDual}
 	var res *lp.Result
 	var err error
 	if form != nil {
@@ -784,7 +777,6 @@ func solveRelaxation(p *Problem, form *lp.Form, lb, ub []float64, sc *lp.Scratch
 		dualPivots:       res.DualPivots,
 		refactorizations: res.Refactorizations,
 		etaLen:           res.EtaLen,
-		factorReuses:     res.FactorReuses,
 	}
 	switch res.Status {
 	case lp.StatusOptimal:

@@ -32,9 +32,10 @@ type Stats struct {
 	DualPivots       int `json:"dual_pivots"`
 	Refactorizations int `json:"refactorizations"`
 	EtaLength        int `json:"eta_length"`
-	// FactorReuses counts warm re-entries that loaded the parent basis's
-	// captured LU factorization instead of refactorizing (bit-identical
-	// numerics, so only work accounting — zero under Options.NoFactorReuse).
+	// FactorReuses is always 0: every warm re-entry factorizes its own basis
+	// since the LU factor handoff was removed. It stays only because the
+	// perfbench harness reads it (lp.factor_reuses_per_slot); the next
+	// benchmark change drops it.
 	FactorReuses int `json:"factor_reuses"`
 	// PresolveFixedVars / PresolveTightenedBounds / PresolveRemovedRows count
 	// the pre-root reductions; RootCutBounds counts reduced-cost bound
@@ -53,8 +54,11 @@ type Stats struct {
 	IncumbentRepaired int `json:"incumbent_repaired"`
 	IncumbentRejected int `json:"incumbent_rejected"`
 	// MemoHits counts per-edge plans served from the fingerprint cache without
-	// invoking the solver; DeltaSkippedEdges counts edges skipped because
-	// their problem fingerprint was unchanged from the last solved slot.
+	// invoking the solver (an edge whose problem is unchanged from the last
+	// solved slot is one). DeltaSkippedEdges is always 0: the scheduler's
+	// separate delta skip was a special case of the memo lookup and was
+	// removed. It stays only because the perfbench harness reads it
+	// (core.delta_skipped_edges); the next benchmark change drops it.
 	MemoHits          int `json:"memo_hits"`
 	DeltaSkippedEdges int `json:"delta_skipped_edges"`
 }
@@ -72,7 +76,6 @@ func (s *Stats) Add(o Stats) {
 	s.DualPivots += o.DualPivots
 	s.Refactorizations += o.Refactorizations
 	s.EtaLength += o.EtaLength
-	s.FactorReuses += o.FactorReuses
 	s.PresolveFixedVars += o.PresolveFixedVars
 	s.PresolveTightenedBounds += o.PresolveTightenedBounds
 	s.PresolveRemovedRows += o.PresolveRemovedRows
@@ -81,7 +84,6 @@ func (s *Stats) Add(o Stats) {
 	s.IncumbentRepaired += o.IncumbentRepaired
 	s.IncumbentRejected += o.IncumbentRejected
 	s.MemoHits += o.MemoHits
-	s.DeltaSkippedEdges += o.DeltaSkippedEdges
 }
 
 // WarmHitRate is the fraction of warm attempts that certified optimality
@@ -105,10 +107,10 @@ func (s Stats) PivotsPerRelaxation() float64 {
 // String renders the compact one-line form used by birpbench -solverstats.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"nodes=%d relax=%d warm=%d/%d (%.1f%% hit, %d fallback) pivots=%d (%.1f/relax) dual(reentry=%d pivots=%d refactor=%d factor-reuse=%d eta=%d) presolve(fix=%d tighten=%d drop-rows=%d root-cuts=%d) reuse(seed=%d rep=%d rej=%d memo=%d delta=%d)",
+		"nodes=%d relax=%d warm=%d/%d (%.1f%% hit, %d fallback) pivots=%d (%.1f/relax) dual(reentry=%d pivots=%d refactor=%d eta=%d) presolve(fix=%d tighten=%d drop-rows=%d root-cuts=%d) reuse(seed=%d rep=%d rej=%d memo=%d)",
 		s.Nodes, s.Relaxations, s.WarmHits, s.WarmAttempts, 100*s.WarmHitRate(),
 		s.WarmFallbacks, s.Pivots, s.PivotsPerRelaxation(),
-		s.DualReentries, s.DualPivots, s.Refactorizations, s.FactorReuses, s.EtaLength,
+		s.DualReentries, s.DualPivots, s.Refactorizations, s.EtaLength,
 		s.PresolveFixedVars, s.PresolveTightenedBounds, s.PresolveRemovedRows, s.RootCutBounds,
-		s.IncumbentSeeded, s.IncumbentRepaired, s.IncumbentRejected, s.MemoHits, s.DeltaSkippedEdges)
+		s.IncumbentSeeded, s.IncumbentRepaired, s.IncumbentRejected, s.MemoHits)
 }
