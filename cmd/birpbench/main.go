@@ -80,7 +80,7 @@ func main() {
 	pprofPath := flag.String("pprof", "", "write a CPU profile of the whole run to this file")
 	profileKind := flag.String("profile", "", "write per-experiment profiles: cpu, heap, or allocs (one <exp>.<kind>.pprof per experiment; see -profdir; read with go tool pprof -top)")
 	profDir := flag.String("profdir", ".", "directory for -profile output files")
-	noReuse := flag.Bool("noreuse", false, "disable cross-slot solver reuse (incumbent seeding, plan memoization); every slot solves cold — for A/B measurement")
+	noReuse := flag.Bool("noreuse", false, "disable cross-slot solver reuse (incumbent seeding, plan memoization, the stage-1 basis carry); every slot solves cold — for A/B measurement")
 	k := flag.Int("k", 50, "fleet size for -exp scale (seeded synthetic fleet)")
 	hier := flag.Bool("hier", false, "hierarchical domain-decomposed scheduling for the core-family arms (default domain size 16)")
 	domains := flag.Int("domains", 0, "fix the collaboration-domain count (> 0 implies -hier)")

@@ -25,7 +25,7 @@ func main() {
 	versions := flag.Int("versions", 3, "model versions per application")
 	slots := flag.Int("slots", 50, "slots to schedule")
 	tolerate := flag.Bool("tolerate", false, "survive agent failures: mark dead edges down, let restarted agents rejoin")
-	noReuse := flag.Bool("noreuse", false, "disable cross-slot solver reuse (incumbent seeding, plan memoization); every slot solves cold")
+	noReuse := flag.Bool("noreuse", false, "disable cross-slot solver reuse (incumbent seeding, plan memoization, the stage-1 basis carry); every slot solves cold")
 	hier := flag.Bool("hier", false, "hierarchical domain-decomposed scheduling (default domain size 16)")
 	domains := flag.Int("domains", 0, "fix the collaboration-domain count (> 0 implies -hier)")
 	flag.Parse()

@@ -11,6 +11,7 @@ import (
 	"repro/internal/edgesim"
 	"repro/internal/lp"
 	"repro/internal/mat"
+	"repro/internal/miqp"
 	"repro/internal/models"
 )
 
@@ -52,6 +53,12 @@ type RedistOptions struct {
 	// solve reuses (the scheduler keeps one alive across slots so the arena
 	// never shrinks back between Decide calls); nil uses the lp package pool.
 	Scratch *lp.Scratch
+	// Basis, when non-nil, carries the stage-1 LP basis from one call to the
+	// next (the scheduler owns one per instance): the solve re-enters from
+	// the basis the previous call left and keeps that warm answer only when
+	// lp certifies the optimum unique, so the allocation is the one a cold
+	// solve returns. Nil solves cold every call.
+	Basis *CarriedBasis
 	// ReservedMB[k] is bandwidth a parent coordinator already spent at edge k
 	// this slot (cross-domain transfers charge both endpoints); the forwarding
 	// budget rows plan against the remainder. Nil means nothing reserved.
@@ -66,6 +73,14 @@ func reservedAt(reserved []float64, k int) float64 {
 	return 0
 }
 
+// CarriedBasis is the stage-1 LP basis one Redistribute call leaves for the
+// next. Its storage is regrown in place on every capture, so carrying it adds
+// no per-slot allocation. The zero value holds no basis.
+type CarriedBasis struct {
+	b  lp.Basis
+	ok bool // b holds the last optimal basis
+}
+
 // Redistribution is the stage-1 outcome.
 type Redistribution struct {
 	// Alloc[i][k] is the integer number of requests of app i edge k serves.
@@ -74,6 +89,8 @@ type Redistribution struct {
 	Transfers []edgesim.Transfer
 	// ForwardMB[k] is the request-forwarding bandwidth spent at edge k.
 	ForwardMB []float64
+	// Solver holds the stage-1 counters of the call (the Stage1* fields).
+	Solver miqp.Stats
 }
 
 // Redistribute solves the fractional redistribution LP and rounds it to an
@@ -318,19 +335,17 @@ func Redistribute(
 	}
 
 	prob := &lp.Problem{C: obj, Aeq: aeq, Beq: beq, Aub: aub, Bub: bub, Ub: ub}
-	var res *lp.Result
-	var err error
-	if opt.Scratch != nil {
-		res, err = lp.SolveScratch(prob, lp.Options{}, opt.Scratch)
-	} else {
-		res, err = lp.SolveOpts(prob, lp.Options{})
-	}
+	var st miqp.Stats
+	res, err := solveStage1(prob, opt, &st)
 	if err != nil {
 		return nil, fmt.Errorf("core: redistribution LP: %w", err)
 	}
 	if res.Status != lp.StatusOptimal {
-		// Degenerate fallback: serve everything locally.
-		return localRedistribution(arrivals, I, K), nil
+		// Degenerate fallback: serve everything locally. A solve that is not
+		// optimal captures no basis, so opt.Basis is left empty.
+		red := localRedistribution(arrivals, I, K)
+		red.Solver = st
+		return red, nil
 	}
 
 	// Fractional per-edge serve totals.
@@ -344,7 +359,7 @@ func Redistribute(
 		}
 	}
 	alloc := roundAlloc(serve, arrivals, opt.RoundRNG)
-	red := &Redistribution{Alloc: alloc, ForwardMB: make([]float64, K)}
+	red := &Redistribution{Alloc: alloc, ForwardMB: make([]float64, K), Solver: st}
 	red.Transfers = matchTransfers(arrivals, alloc)
 	red.enforceBandwidth(c, apps, arrivals, slot, bwFrac, opt.ReservedMB)
 	for _, tr := range red.Transfers {
@@ -353,6 +368,55 @@ func Redistribute(
 		red.ForwardMB[tr.To] += mb
 	}
 	return red, nil
+}
+
+// solveStage1 solves the redistribution LP, re-entering from opt.Basis when
+// it holds the previous call's basis. The warm answer is kept only when it is
+// optimal and certified unique: the optimum is then the one a cold solve
+// reaches, so the rounded allocation cannot depend on the start. A warm
+// fallback already is the cold answer. Any other warm answer may be a
+// different vertex of a tied optimal face and is re-solved cold. Counters go
+// to st.
+func solveStage1(prob *lp.Problem, opt RedistOptions, st *miqp.Stats) (*lp.Result, error) {
+	st.Stage1Solves++
+	carry := opt.Basis
+	if carry == nil {
+		var res *lp.Result
+		var err error
+		if opt.Scratch != nil {
+			res, err = lp.SolveScratch(prob, lp.Options{}, opt.Scratch)
+		} else {
+			res, err = lp.SolveOpts(prob, lp.Options{})
+		}
+		if err == nil {
+			st.Stage1Pivots += res.Pivots()
+		}
+		return res, err
+	}
+	lpOpt := lp.Options{CaptureBasis: true}
+	var warm *lp.Basis
+	if carry.ok {
+		warm = &carry.b
+	}
+	carry.ok = false
+	res, err := lp.SolveWarmInto(prob, lpOpt, opt.Scratch, warm, &carry.b)
+	if err != nil {
+		return nil, err
+	}
+	st.Stage1Pivots += res.Pivots()
+	if res.Warm {
+		if res.Status == lp.StatusOptimal && res.Unique {
+			st.Stage1WarmAccepted++
+		} else {
+			st.Stage1Rejected++
+			if res, err = lp.SolveWarmInto(prob, lpOpt, opt.Scratch, nil, &carry.b); err != nil {
+				return nil, err
+			}
+			st.Stage1Pivots += res.Pivots()
+		}
+	}
+	carry.ok = res.Basis != nil
+	return res, nil
 }
 
 func orDefault(v, def float64) float64 {
@@ -402,6 +466,11 @@ func localRedistribution(arrivals [][]int, I, K int) *Redistribution {
 	return &Redistribution{Alloc: alloc, ForwardMB: make([]float64, K)}
 }
 
+// remGrid quantizes rounding remainders to 1e-9. LP optima carry rounding
+// noise near 1e-12, so the noise never reorders remainders: values equal up to
+// it tie, and the tie goes to the smaller edge index.
+const remGrid = 1e9
+
 // roundAlloc rounds fractional serve shares to integers preserving each
 // app's total arrivals. Deterministic largest-remainder by default;
 // randomized proportional when rng is non-nil (OAEI's randomized rounding).
@@ -423,7 +492,7 @@ func roundAlloc(serve [][]float64, arrivals [][]int, rng *rand.Rand) [][]int {
 		for k := 0; k < K; k++ {
 			fl := math.Floor(serve[i][k] + 1e-9)
 			alloc[i][k] = int(fl)
-			rem[k] = serve[i][k] - fl
+			rem[k] = math.Round((serve[i][k]-fl)*remGrid) / remGrid
 			floorSum += alloc[i][k]
 		}
 		left := total - floorSum

@@ -2,12 +2,17 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bandit"
 	"repro/internal/cluster"
+	"repro/internal/edgesim"
+	"repro/internal/lp"
+	"repro/internal/miqp"
 	"repro/internal/models"
+	"repro/internal/trace"
 )
 
 func redistArgs() (*cluster.Cluster, []*models.Application, func(ModelKey) bandit.TIRParams, func(ModelKey) float64) {
@@ -215,5 +220,146 @@ func TestMatchTransfersExactness(t *testing.T) {
 	}
 	if moved[1] != 5 || moved[2] != 3 {
 		t.Fatalf("moved %v, want 5→1 and 3→2", moved)
+	}
+}
+
+// stage1Mirror drives a scheduler through a closed-loop run and, after every
+// Decide, solves that slot's stage-1 LP twice on the scheduler's own inputs:
+// through a carried basis, as the scheduler does, and cold. The two
+// redistributions must be identical, and the mirror's warm-path counters must
+// equal the ones the scheduler reported for the slot, which shows the mirror
+// replays exactly the scheduler's sequence of stage-1 solves.
+type stage1Mirror struct {
+	*Scheduler
+	t      *testing.T
+	before func(s *Scheduler, slot int) // optional per-slot input change
+	carry  CarriedBasis
+	sc     *lp.Scratch
+	warm   miqp.Stats // summed stage-1 counters of the mirror's warm path
+}
+
+func (m *stage1Mirror) Decide(slot int, arrivals [][]int) (*edgesim.Plan, error) {
+	s := m.Scheduler
+	if m.before != nil {
+		m.before(s, slot)
+	}
+	plan, err := s.Decide(slot, arrivals)
+	if err != nil {
+		return nil, err
+	}
+	opt := s.cfg.Redist
+	opt.DownEdges = s.down
+	opt.ReservedMB = s.bwReserved
+	opt.Scratch, opt.Basis = m.sc, &m.carry
+	warm, err := Redistribute(s.cfg.Cluster, s.cfg.Apps, arrivals, s.provider.Params, s.gamma, slot, opt)
+	if err != nil {
+		return nil, err
+	}
+	opt.Scratch, opt.Basis = nil, nil
+	cold, err := Redistribute(s.cfg.Cluster, s.cfg.Apps, arrivals, s.provider.Params, s.gamma, slot, opt)
+	if err != nil {
+		return nil, err
+	}
+	if !reflect.DeepEqual(warm.Alloc, cold.Alloc) || !reflect.DeepEqual(warm.Transfers, cold.Transfers) ||
+		!reflect.DeepEqual(warm.ForwardMB, cold.ForwardMB) {
+		m.t.Errorf("slot %d: warm stage 1 (%+v) differs from cold\nwarm alloc %v transfers %v forward %v\ncold alloc %v transfers %v forward %v",
+			slot, warm.Solver, warm.Alloc, warm.Transfers, warm.ForwardMB, cold.Alloc, cold.Transfers, cold.ForwardMB)
+	}
+	got, want := stage1Counters(plan.Solver), stage1Counters(&warm.Solver)
+	if got != want {
+		m.t.Errorf("slot %d: scheduler stage-1 counters %v, mirror %v", slot, got, want)
+	}
+	m.warm.Add(warm.Solver)
+	return plan, nil
+}
+
+func stage1Counters(st *miqp.Stats) [4]int {
+	return [4]int{st.Stage1Solves, st.Stage1WarmAccepted, st.Stage1Rejected, st.Stage1Pivots}
+}
+
+// TestRedistributeWarmMatchesCold checks the stage-1 cross-slot warm start
+// against a cold solve of the same inputs, slot by slot, over testbed-shaped
+// runs (the paper's 6-edge testbed, 5 apps × 5 versions, online tuner, 144
+// slots), a serve-shaped run on the 3-edge cluster, and each stage-1 variant
+// that changes the LP: the knee cap, the balancing term, summed memory, an
+// edge taken down and brought back, and coordinator-reserved bandwidth.
+func TestRedistributeWarmMatchesCold(t *testing.T) {
+	type tcase struct {
+		name   string
+		c      *cluster.Cluster
+		apps   []*models.Application
+		slots  int
+		mean   float64
+		seed   int64
+		cfg    func(*Config)
+		before func(s *Scheduler, slot int)
+	}
+	testbed := func(seed int64) *cluster.Cluster { return cluster.Default(cluster.WithSeed(seed)) }
+	cases := []tcase{
+		{name: "testbed/seed1", c: testbed(1), apps: models.Catalogue(5, 5), slots: 144, mean: 31, seed: 1},
+		{name: "testbed/seed2", c: testbed(2), apps: models.Catalogue(5, 5), slots: 144, mean: 31, seed: 2},
+		{name: "testbed/seed3", c: testbed(3), apps: models.Catalogue(5, 5), slots: 144, mean: 31, seed: 3},
+		{name: "serve", c: cluster.Small(cluster.WithSeed(1)), apps: models.Catalogue(2, 3), slots: 96, mean: 60, seed: 1},
+		{name: "kneecap", c: testbed(4), apps: models.Catalogue(5, 5), slots: 48, mean: 31, seed: 4,
+			cfg: func(c *Config) { c.KneeCap = true }},
+		{name: "balance", c: testbed(5), apps: models.Catalogue(5, 5), slots: 48, mean: 31, seed: 5,
+			cfg: func(c *Config) { c.Redist.BalanceWeight = 0.5 }},
+		{name: "memsum", c: testbed(6), apps: models.Catalogue(5, 5), slots: 48, mean: 31, seed: 6,
+			cfg: func(c *Config) { c.Mem = MemSum }},
+		{name: "edge-down", c: testbed(7), apps: models.Catalogue(5, 5), slots: 48, mean: 31, seed: 7,
+			before: func(s *Scheduler, slot int) {
+				switch slot {
+				case 12:
+					s.SetEdgeDown(2, true)
+				case 30:
+					s.SetEdgeDown(2, false)
+				}
+			}},
+		{name: "reserved", c: testbed(8), apps: models.Catalogue(5, 5), slots: 48, mean: 31, seed: 8,
+			before: func(s *Scheduler, slot int) {
+				if s.bwReserved == nil {
+					s.bwReserved = make([]float64, s.cfg.Cluster.N())
+				}
+				for k := range s.bwReserved {
+					s.bwReserved[k] = 0.15 * float64((slot+k)%3) * s.cfg.Cluster.BandwidthMBAt(slot, k)
+				}
+			}},
+	}
+	if testing.Short() {
+		cases = append(cases[:1], cases[3:]...)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Cluster: tc.c, Apps: tc.apps, Workers: 1, Provider: NewOnlineTuner(0.04, 0.07)}
+			if tc.cfg != nil {
+				tc.cfg(&cfg)
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := &stage1Mirror{Scheduler: s, t: t, before: tc.before, sc: lp.NewScratch()}
+			sim, err := edgesim.New(edgesim.Config{
+				Cluster: tc.c, Apps: tc.apps, NoiseSigma: 0.02, SlotNoiseSigma: 0.05, Seed: tc.seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := trace.Generate(trace.Config{
+				Apps: len(tc.apps), Edges: tc.c.N(), Slots: tc.slots, Seed: tc.seed,
+				MeanPerSlot: tc.mean, Imbalance: 0.8, BurstProb: 0.05, BurstScale: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sim.Run(m, tr.R); err != nil {
+				t.Fatal(err)
+			}
+			if m.warm.Stage1Solves != tc.slots || m.warm.Stage1WarmAccepted+m.warm.Stage1Rejected == 0 {
+				t.Fatalf("stage-1 counters %v over %d slots: no warm re-entry was made", stage1Counters(&m.warm), tc.slots)
+			}
+			t.Logf("solves %d, warm accepted %d, rejected %d, %.1f pivots/solve",
+				m.warm.Stage1Solves, m.warm.Stage1WarmAccepted, m.warm.Stage1Rejected, m.warm.Stage1PivotsPerSolve())
+		})
 	}
 }

@@ -95,12 +95,13 @@ type Config struct {
 	// Workers only changes wall-clock time.
 	Workers int
 	// DisableSlotReuse turns off the cross-slot temporal acceleration layer
-	// (incumbent seeding from the previous slot's plan and plan memoization,
+	// (incumbent seeding from the previous slot's plan, plan memoization,
 	// which also serves an edge whose problem is unchanged since its last
-	// plan) and restores the cold per-slot path, for equivalence testing and
-	// A/B measurement. Reuse only
-	// changes which certified incumbent each solve starts from, so reuse-on
-	// and reuse-off plans agree within the solver's 0.5% gap tolerance;
+	// plan, and the stage-1 LP basis carried between slots) and restores the
+	// cold per-slot path, for equivalence testing and A/B measurement. Reuse
+	// only changes which certified incumbent each solve starts from (the
+	// stage-1 allocation is the cold one either way), so reuse-on and
+	// reuse-off plans agree within the solver's 0.5% gap tolerance;
 	// byte-identity across Workers values holds in both settings. Decomposed
 	// mode only — the joint solver always runs cold.
 	DisableSlotReuse bool
@@ -146,6 +147,9 @@ type Scheduler struct {
 	// slot loop allocates almost nothing for solver workspaces.
 	pool          *miqp.ScratchPool
 	redistScratch *lp.Scratch
+	// redistBasis carries the stage-1 LP basis across slots (see
+	// RedistOptions.Basis); nil when Config.DisableSlotReuse is set.
+	redistBasis *CarriedBasis
 	// edgeScr holds one SolveEdge model-build scratch per fan-out worker
 	// (indexed by the par.ForEach worker id, so there is no contention);
 	// grown lazily.
@@ -252,6 +256,10 @@ func (s *Scheduler) reset() {
 	}
 	s.pool = miqp.NewScratchPool()
 	s.redistScratch = lp.NewScratch()
+	s.redistBasis = nil
+	if !s.cfg.DisableSlotReuse {
+		s.redistBasis = &CarriedBasis{}
+	}
 	s.edgeScr = nil
 }
 
@@ -327,6 +335,7 @@ func (s *Scheduler) decideDecomposed(t int, arrivals [][]int) (*edgesim.Plan, er
 	redistOpts := s.cfg.Redist
 	redistOpts.DownEdges = s.down
 	redistOpts.Scratch = s.redistScratch
+	redistOpts.Basis = s.redistBasis
 	redistOpts.ReservedMB = s.bwReserved
 	red, err := Redistribute(c, s.cfg.Apps, arrivals,
 		s.provider.Params, s.gamma, t, redistOpts)
@@ -374,7 +383,7 @@ func (s *Scheduler) decideDecomposed(t int, arrivals [][]int) (*edgesim.Plan, er
 	snaps := s.slotSnaps[:K]
 	solve0 := s.slotSolve[:0]
 	var plan *edgesim.Plan
-	var slotSolver miqp.Stats // fresh solves only, accumulated across repairs
+	slotSolver := red.Solver // stage 1, then fresh edge solves across repairs
 	for attempt := 0; ; attempt++ {
 		// Serial pre-pass: compute workloads, ship budgets, parameter
 		// snapshots (the online provider materializes per-key tuner state

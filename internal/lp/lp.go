@@ -131,6 +131,14 @@ type Result struct {
 	// refactorization count and total eta-file updates of the solve.
 	Refactorizations int
 	EtaLen           int
+	// Unique certifies, on an optimal result, that X is the only optimum:
+	// every nonbasic standard-form column that can move (upper bound > 0)
+	// has a reduced cost of magnitude above 1e-7, so moving any of
+	// them off its bound strictly worsens the objective (dual
+	// nondegeneracy). A solve from any other start then reaches the same X
+	// up to rounding. False means not certified: the optimum may be tied,
+	// or the solve had no rows and ran no simplex.
+	Unique bool
 }
 
 // Pivots returns the total pivot work of the solve: the dual repair pivots

@@ -34,6 +34,13 @@ const (
 	revPivotTol  = 1e-9
 )
 
+// uniqueMargin is the reduced-cost magnitude above which a nonbasic column
+// counts as strictly priced out for Result.Unique. Reduced costs of tied
+// columns come out of BTRAN and the pricing sweep as rounding noise near
+// 1e-15 relative to the costs, so 1e-7 sits far from both that noise and
+// the scheduler's stage-1 costs (transfer cost 1e-3 up to the penalties).
+const uniqueMargin = 1e-7
+
 // dualRepair outcomes.
 const (
 	repairDone       = iota // primal feasible, ready for the polish pass
@@ -77,6 +84,9 @@ type revEngine struct {
 	// reuses the storage.
 	basisArena []*Basis
 	basisUsed  int
+	// captureDst, when non-nil, is the caller-owned Basis the next capture
+	// regrows in place (SolveWarmInto), taking precedence over the arena.
+	captureDst *Basis
 }
 
 func (sc *Scratch) revived() *revEngine {
@@ -567,13 +577,16 @@ func (e *revEngine) feasible(feasTol float64) bool {
 }
 
 // captureBasis snapshots the basis in its combinatorial format (nil when an
-// artificial is still basic: such a basis cannot seed a warm start). On the
-// Form path the Basis object and its slices come from the per-tree arena
-// (recycled by Scratch.BeginTree); elsewhere they are freshly allocated, so
-// long-lived captures outside a tree discipline stay safe.
+// artificial is still basic: such a basis cannot seed a warm start). A
+// SolveWarmInto destination is regrown in place; otherwise, on the Form path
+// the Basis object and its slices come from the per-tree arena (recycled by
+// Scratch.BeginTree), and elsewhere they are freshly allocated, so long-lived
+// captures outside a tree discipline stay safe.
 func (e *revEngine) captureBasis() *Basis {
 	var b *Basis
-	if e.csc != &e.ownCSC {
+	if e.captureDst != nil {
+		b = e.captureDst
+	} else if e.csc != &e.ownCSC {
 		if e.basisUsed < len(e.basisArena) {
 			b = e.basisArena[e.basisUsed]
 		} else {
@@ -602,6 +615,19 @@ func (e *revEngine) captureBasis() *Basis {
 	// (PreferDual) can skip its entry pricing; see Basis.d.
 	copy(b.d, e.d[:e.nCols])
 	return b
+}
+
+// dualNondegenerate is the Result.Unique certificate: every nonbasic
+// structural or slack column with room to move has |d_j| > uniqueMargin.
+// Columns fixed at an upper bound of 0 (and the pinned artificials beyond
+// nCols) cannot move, so they cannot open a tie.
+func (e *revEngine) dualNondegenerate() bool {
+	for j := 0; j < e.nCols; j++ {
+		if e.inRow[j] < 0 && e.ub[j] > 0 && abs64(e.d[j]) <= uniqueMargin {
+			return false
+		}
+	}
+	return true
 }
 
 // reducedCosts maps the exit reduced costs back to the original variables
@@ -659,6 +685,7 @@ func (e *revEngine) finishRev(p *Problem, n int, opt Options, tol float64, sf *s
 			res.IneqDuals[i] = e.d[sf.slackCol[row]]
 		}
 	}
+	res.Unique = e.dualNondegenerate()
 	if opt.CaptureBasis {
 		res.Basis = e.captureBasis()
 	}

@@ -20,3 +20,22 @@ type Basis struct {
 	// carrying the parent's incremental drift is safe.
 	d []float64
 }
+
+// SolveWarmInto is SolveWarm with the optimal basis captured into dst instead
+// of a fresh allocation: with opt.CaptureBasis set, an optimal solve regrows
+// dst's slices in place and returns it as Result.Basis, so a caller that
+// re-solves every period and keeps only its latest basis allocates nothing
+// for it once dst has grown. dst may be warm itself, since the warm basis is
+// read in full before anything is captured. A solve that captures no basis
+// (not optimal, or an artificial still basic) may leave dst partly
+// overwritten; the caller must then stop re-entering from it.
+func SolveWarmInto(p *Problem, opt Options, sc *Scratch, warm, dst *Basis) (*Result, error) {
+	if sc == nil {
+		sc = NewScratch()
+	}
+	e := sc.revived()
+	e.captureDst = dst
+	res, err := SolveWarm(p, opt, sc, warm)
+	e.captureDst = nil
+	return res, err
+}

@@ -61,6 +61,17 @@ type Stats struct {
 	// (core.delta_skipped_edges); the next benchmark change drops it.
 	MemoHits          int `json:"memo_hits"`
 	DeltaSkippedEdges int `json:"delta_skipped_edges"`
+	// Stage-1 redistribution LP counters (maintained by the scheduler, not
+	// by SolveOpts). Stage1Solves counts redistribution LP calls;
+	// Stage1WarmAccepted those answered by a warm re-entry from the previous
+	// slot's basis whose optimum was certified unique; Stage1Rejected the
+	// warm answers discarded for lack of that certificate and re-solved
+	// cold; Stage1Pivots the simplex pivots of all of them, rejected warm
+	// attempts included.
+	Stage1Solves       int `json:"stage1_solves"`
+	Stage1WarmAccepted int `json:"stage1_warm_accepted"`
+	Stage1Rejected     int `json:"stage1_rejected"`
+	Stage1Pivots       int `json:"stage1_pivots"`
 }
 
 // Add accumulates o into s (used by callers that aggregate across many
@@ -84,6 +95,10 @@ func (s *Stats) Add(o Stats) {
 	s.IncumbentRepaired += o.IncumbentRepaired
 	s.IncumbentRejected += o.IncumbentRejected
 	s.MemoHits += o.MemoHits
+	s.Stage1Solves += o.Stage1Solves
+	s.Stage1WarmAccepted += o.Stage1WarmAccepted
+	s.Stage1Rejected += o.Stage1Rejected
+	s.Stage1Pivots += o.Stage1Pivots
 }
 
 // WarmHitRate is the fraction of warm attempts that certified optimality
@@ -104,13 +119,23 @@ func (s Stats) PivotsPerRelaxation() float64 {
 	return float64(s.Pivots) / float64(s.Relaxations)
 }
 
+// Stage1PivotsPerSolve is the average simplex pivot work per stage-1
+// redistribution solve (0 when none ran).
+func (s Stats) Stage1PivotsPerSolve() float64 {
+	if s.Stage1Solves == 0 {
+		return 0
+	}
+	return float64(s.Stage1Pivots) / float64(s.Stage1Solves)
+}
+
 // String renders the compact one-line form used by birpbench -solverstats.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"nodes=%d relax=%d warm=%d/%d (%.1f%% hit, %d fallback) pivots=%d (%.1f/relax) dual(reentry=%d pivots=%d refactor=%d eta=%d) presolve(fix=%d tighten=%d drop-rows=%d root-cuts=%d) reuse(seed=%d rep=%d rej=%d memo=%d)",
+		"nodes=%d relax=%d warm=%d/%d (%.1f%% hit, %d fallback) pivots=%d (%.1f/relax) dual(reentry=%d pivots=%d refactor=%d eta=%d) presolve(fix=%d tighten=%d drop-rows=%d root-cuts=%d) reuse(seed=%d rep=%d rej=%d memo=%d) stage1(solves=%d warm=%d reject=%d pivots=%d (%.1f/solve))",
 		s.Nodes, s.Relaxations, s.WarmHits, s.WarmAttempts, 100*s.WarmHitRate(),
 		s.WarmFallbacks, s.Pivots, s.PivotsPerRelaxation(),
 		s.DualReentries, s.DualPivots, s.Refactorizations, s.EtaLength,
 		s.PresolveFixedVars, s.PresolveTightenedBounds, s.PresolveRemovedRows, s.RootCutBounds,
-		s.IncumbentSeeded, s.IncumbentRepaired, s.IncumbentRejected, s.MemoHits)
+		s.IncumbentSeeded, s.IncumbentRepaired, s.IncumbentRejected, s.MemoHits,
+		s.Stage1Solves, s.Stage1WarmAccepted, s.Stage1Rejected, s.Stage1Pivots, s.Stage1PivotsPerSolve())
 }

@@ -14,9 +14,10 @@
 #                             # accounting + staleness-bound assertions, and a TCP
 #                             # daemon round trip with SIGINT clean shutdown
 #   scripts/check.sh -bench   # bench tier: fig7 workers {1,4} and serve replay
-#                             # byte-identity, micro-benches with the slot-loop
-#                             # and serve-submit allocs/op gates; writes nothing
-#                             # into the checkout (perfbench/ is the benchmark)
+#                             # byte-identity, fig7 BIRP stage-1 counter gates,
+#                             # micro-benches with the slot-loop and serve-submit
+#                             # allocs/op gates; writes nothing into the
+#                             # checkout (perfbench/ is the benchmark)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -114,6 +115,27 @@ if [[ "${1:-}" == "-bench" ]]; then
 	identical fig7
 	sed '/ completed in /d' "$tmp/out_fig7_w1b.txt" >"$tmp/id_fig7_w1b.txt"
 	cmp "$tmp/id_fig7_w1.txt" "$tmp/id_fig7_w1b.txt"
+
+	# Stage-1 counter gates on fig7's BIRP arm (deterministic for the seed).
+	# The stage-1 LP re-enters from the previous slot's basis: measured 19.1
+	# pivots per solve (143.8 under -noreuse, which solves it cold) with 146
+	# of 150 solves answered warm. The budget allows ~2x the measured pivots; the floor
+	# allows the share of solves not answered warm to grow from 2.7% to 10%.
+	python3 - "$tmp/out_fig7_w1.txt" <<-'EOF'
+		import re, sys
+		MAX_PIVOTS_PER_SOLVE, MIN_WARM_SHARE = 40.0, 0.90
+		for line in open(sys.argv[1]):
+		    m = re.match(r"^\s+BIRP\s.*stage1\(solves=(\d+) warm=(\d+) reject=\d+ pivots=(\d+) ", line)
+		    if m:
+		        break
+		else:
+		    sys.exit("fig7 -solverstats printed no BIRP stage1(...) counters")
+		solves, warm, pivots = (int(g) for g in m.groups())
+		per, share = pivots / solves, warm / solves
+		assert per <= MAX_PIVOTS_PER_SOLVE, f"stage-1 {per:.1f} pivots/solve > budget {MAX_PIVOTS_PER_SOLVE}"
+		assert share >= MIN_WARM_SHARE, f"stage-1 warm share {share:.3f} < floor {MIN_WARM_SHARE}"
+		print(f"ok: stage-1 {per:.1f} pivots/solve <= {MAX_PIVOTS_PER_SOLVE}, warm share {share:.3f} >= {MIN_WARM_SHARE}")
+	EOF
 
 	# Three repetitions per worker count; every repetition's decision log
 	# must be byte-identical (within a worker count and across worker counts).
